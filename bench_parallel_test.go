@@ -28,12 +28,6 @@ func BenchmarkGradeParallel(b *testing.B)         { benchsuite.GradeParallel(b) 
 func BenchmarkGradeLane(b *testing.B)             { benchsuite.GradeLane(b) }
 func BenchmarkGradeLaneParallel(b *testing.B)     { benchsuite.GradeLaneParallel(b) }
 
-// BenchmarkGradeLaneInterpreted pins the per-op interpreted replay the
-// compiled µop kernels are validated against; its gap to
-// BenchmarkGradeLane is the compiled-replay speedup (EXPERIMENTS.md
-// X12).
-func BenchmarkGradeLaneInterpreted(b *testing.B) { benchsuite.GradeLaneInterpreted(b) }
-
 // MetricsOn variants quantify the observability overhead budget: with
 // the obs registry enabled, the parallel engines must stay within 2%
 // of their uninstrumented counterparts (DESIGN.md "Observability").

@@ -148,14 +148,6 @@ func GradeLaneParallel(b *testing.B) {
 	grade(b, runtime.GOMAXPROCS(0), coverage.EngineAuto)
 }
 
-// GradeLaneInterpreted measures the lane engine with Options.Replay
-// pinned to the per-op interpreted path — the reference the compiled
-// kernels are validated against. Its ratio to GradeLane is the
-// compiled-replay speedup (EXPERIMENTS.md X12).
-func GradeLaneInterpreted(b *testing.B) {
-	gradeOpts(b, coverage.Options{Size: 16, Workers: 1, Replay: coverage.ReplayInterpreted})
-}
-
 // GradeSharded measures the 4-shard sweep path end to end: grade four
 // universe slices, merge their states, rebuild the report. Tracked
 // against GradeLane (the same workload unsharded), it pins the
@@ -203,7 +195,7 @@ func GradeSharded(b *testing.B) {
 // It also asserts the compiled-replay counters: the budget measurement
 // is only meaningful if the metered runs actually compiled the stream
 // and dispatched specialized kernels rather than silently degrading to
-// the interpreted or general path.
+// the general path.
 func GradeLaneMetricsOn(b *testing.B) {
 	reg := obs.Enable()
 	defer obs.Disable()
@@ -243,7 +235,6 @@ func Suite() []Case {
 		{Name: "BenchmarkGradeSerial", F: GradeSerial},
 		{Name: "BenchmarkGradeParallel", Serial: "BenchmarkGradeSerial", F: GradeParallel},
 		{Name: "BenchmarkGradeLane", Serial: "BenchmarkGradeSerial", F: GradeLane},
-		{Name: "BenchmarkGradeLaneInterpreted", Serial: "BenchmarkGradeSerial", F: GradeLaneInterpreted},
 		{Name: "BenchmarkGradeLaneParallel", Serial: "BenchmarkGradeSerial", F: GradeLaneParallel},
 		{Name: "BenchmarkGradeLaneMetricsOn", Serial: "BenchmarkGradeLane", F: GradeLaneMetricsOn},
 		{Name: "BenchmarkGradeSharded", Serial: "BenchmarkGradeLane", F: GradeSharded},

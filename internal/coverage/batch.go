@@ -108,11 +108,14 @@ func streamsEqual(a, b []march.StreamOp) bool {
 	return true
 }
 
-// laneScratch is one grading worker's reusable state: the interpreted
-// read plane buffer and the lazily built scalar-retry runner. The lane
-// arenas themselves live in the batch-affine pool below.
+// laneScratch is one grading worker's reusable state: the 2-word local
+// arena and projection buffer of support-sliced batches, and the lazily
+// built scalar-retry runner. Local arenas live and die with the worker
+// and never enter the pool below, which holds only the full-geometry
+// arenas of whole-stream batches.
 type laneScratch struct {
-	reads []uint64
+	local *faults.LaneInjected
+	ops   []faults.UOp
 	retry runner
 }
 
@@ -220,39 +223,34 @@ func arenaPoolStats() (keys, arenas int) {
 	return len(arenaPool), arenaN
 }
 
-// gradeBatched grades the universe by replaying the captured stream
-// over kind-partitioned lane batches of at most opts.Lanes-1 faults
-// (see buildPartition). Verdicts commit through each batch's universe
-// indices, so the Report — including the Missed ordering — is
+// gradeBatched grades the universe by replaying the captured stream,
+// lowered to a compiled µop program, over lane batches of at most
+// opts.Lanes-1 faults: whole-stream batches partitioned by kernel class
+// (buildPartition) or support-sliced batches (buildSlicedPartition),
+// whichever the cost rule picks. Verdicts commit through each batch's
+// universe indices, so the Report — including the Missed ordering — is
 // byte-identical to the scalar oracle at any worker count, lane width
-// or replay mode: partitioning reorders grading, never the
-// universe-ordered verdict assembly. By default the stream is lowered
-// to a compiled µop program replayed through capability-gated kernels
-// (faults.Replay); Options.Replay can pin the interpreted per-op path,
-// which is also the automatic fallback if compilation fails. A panic
-// anywhere in a batch (hook, injector or replay) fails only that
-// batch: each of its faults is retried individually on the scalar
-// oracle and quarantined if it panics again. Cancellation stops the
-// claim loop at the next batch boundary.
+// or plan: partitioning reorders grading, never the universe-ordered
+// verdict assembly. A panic anywhere in a batch (hook, injector or
+// replay) fails only that batch: each of its faults is retried
+// individually on the scalar oracle and quarantined if it panics
+// again. Cancellation stops the claim loop at the next batch boundary.
 func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	universe := r.universe
 	maxPlanes := r.opts.Lanes / 64
-	plan := cachedPartition(r.opts, universe)
-	var cs *faults.CompiledStream
 	reg := obs.Active()
-	if r.opts.Replay == ReplayCompiled {
-		var err error
-		if cs, err = cachedCompiledStream(r.alg, r.opts, stream); err != nil {
-			// A verified capture that fails µop validation should be
-			// impossible; degrade to the interpreted replay rather than
-			// failing the run.
-			reg.Counter("coverage.compile_fallbacks").Add(1)
-			cs = nil
-		}
+	cs, err := cachedCompiledStream(r.alg, r.opts, stream)
+	if err != nil {
+		return fmt.Errorf("coverage: %s on %s: verified stream fails µop validation: %w", r.alg.Name, r.arch, err)
 	}
-	if cs != nil {
-		reg.Counter("coverage.compiled_streams").Add(1)
+	// Sliced batches check the good machine only on their own words, so
+	// the whole stream's check, run once when it was compiled, gates
+	// every grade.
+	if err := cs.GoodMachineErr(); err != nil {
+		return fmt.Errorf("coverage: %s on %s: %w", r.alg.Name, r.arch, err)
 	}
+	reg.Counter("coverage.compiled_streams").Add(1)
+	plan, sliced := choosePlan(r.alg, r.opts, universe, cs)
 	batches := len(plan)
 	workers := r.opts.Workers
 	if workers > batches {
@@ -265,6 +263,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	mLanes := reg.Span("coverage.batch_lanes")
 	mBatch := reg.Span("coverage.batch_ns")
 	mFaults := reg.Counter("coverage.faults_graded")
+	mSliced := reg.Counter("coverage.sliced_batches")
 
 	pendingIn := func(bt *laneBatch) int {
 		pending := 0
@@ -279,9 +278,10 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	akey := arenaKey{size: r.opts.Size, width: r.opts.Width, ports: r.opts.Ports, planes: maxPlanes}
 
 	// gradeOne replays one batch; a panic escapes as a *PanicError for
-	// the caller's scalar retry. Arenas are fetched batch-affine from
-	// the pool and returned unless the batch panicked (the arena may be
-	// mid-mutation).
+	// the caller's scalar retry. Whole-stream arenas are fetched
+	// batch-affine from the pool and returned unless the batch panicked
+	// (the arena may be mid-mutation); sliced batches use the worker's
+	// local arena, dropped on a panic for the same reason.
 	gradeOne := func(b int, sc *laneScratch) error {
 		bt := &plan[b]
 		pending := pendingIn(bt)
@@ -291,7 +291,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		}
 		t0 := mBatch.Start()
 		var fail [faults.MaxPlanes]uint64
-		kern := faults.KernelGeneral
+		var kern faults.Kernel
 		var mem *faults.LaneInjected
 		var rerr error
 		perr := resilience.Capture(func() {
@@ -302,28 +302,40 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 					}
 				}
 			}
+			if sliced {
+				if sc.local == nil {
+					sc.local = faults.NewLaneInjectedPlanes(2, r.opts.Width, r.opts.Ports, maxPlanes, nil)
+				}
+				mem = sc.local
+				mem.ResetPlanes(bt.faults, bt.planes)
+				kern, sc.ops, rerr = mem.ReplayProjected(cs, bt.words, sc.ops, &fail)
+				return
+			}
 			mem = arenaGet(akey, bt.faults)
 			if mem == nil {
 				mem = faults.NewLaneInjectedPlanes(r.opts.Size, r.opts.Width, r.opts.Ports, maxPlanes, nil)
 			}
 			mem.ResetPlanes(bt.faults, bt.planes)
-			if cs != nil {
-				kern, rerr = mem.Replay(cs, &fail)
-			} else {
-				fail, sc.reads, rerr = replayStream(mem, stream, sc.reads)
-			}
+			kern, rerr = mem.Replay(cs, &fail)
 		})
 		if perr != nil {
+			if sliced {
+				sc.local = nil // may be mid-mutation
+			}
 			return perr
 		}
-		arenaPut(akey, mem)
+		if sliced {
+			mSliced.Add(1)
+		} else {
+			arenaPut(akey, mem)
+		}
 		if rerr != nil {
 			return fmt.Errorf("coverage: batch %d (%d faults): %w", b, len(bt.faults), rerr)
 		}
 		r.commitBatch(bt.idx, &fail)
 		mBatch.ObserveSince(t0)
 		mBatches.Add(1)
-		if cs != nil && kern != faults.KernelGeneral {
+		if kern != faults.KernelGeneral {
 			mFastKernels.Add(1)
 		}
 		mLanes.Observe(int64(len(bt.faults)))
@@ -436,58 +448,4 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// replayStream drives the captured stream through a lane memory and
-// returns the accumulated per-plane fail masks: bit b of fail[p] set
-// means logical lane p*64+b's value diverged from the expected
-// (fault-free) value on some read. reads is a scratch buffer threaded
-// through for reuse. The replay exits early once every occupied lane
-// has failed; lane 0 failing means the good machine diverged from the
-// recorded clean run, which would break the engine's equivalence
-// argument, so it is an error.
-//
-//mbist:hotpath
-func replayStream(mem *faults.LaneInjected, stream []march.StreamOp, reads []uint64) ([faults.MaxPlanes]uint64, []uint64, error) {
-	np := mem.Planes()
-	var occ, fail [faults.MaxPlanes]uint64
-	for p := 0; p < np; p++ {
-		occ[p] = mem.FaultMaskPlane(p)
-	}
-	for _, op := range stream {
-		switch {
-		case op.Pause:
-			mem.Pause()
-		case op.Write:
-			mem.Write(op.Port, op.Addr, op.Data)
-		default:
-			reads = mem.ReadLanes(op.Port, op.Addr, reads[:0])
-			// reads holds np planes per word bit: [bit*np+p].
-			i := 0
-			for bit := 0; i < len(reads); bit++ {
-				var exp uint64
-				if op.Data>>uint(bit)&1 == 1 {
-					exp = ^uint64(0)
-				}
-				for p := 0; p < np; p++ {
-					fail[p] |= reads[i] ^ exp
-					i++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return fail, reads, fmt.Errorf("good machine (lane 0) failed at read port %d addr %d", op.Port, op.Addr)
-			}
-			done := true
-			for p := 0; p < np; p++ {
-				if fail[p]&occ[p] != occ[p] {
-					done = false
-					break
-				}
-			}
-			if done {
-				return fail, reads, nil
-			}
-		}
-	}
-	return fail, reads, nil
 }

@@ -77,6 +77,7 @@ func TestBatchedEngineMatchesScalarOracleWordMultiport(t *testing.T) {
 // canonical microcode configuration, that batch occupancy respects the
 // configured lane width, and that the lane_width gauge reports it.
 func TestBatchedEngineEngaged(t *testing.T) {
+	defer forcePlan(planWhole)()
 	for _, lanes := range []int{0, 64, 128, 256, 512} {
 		reg := obs.Enable()
 		alg, _ := march.ByName("marchc")

@@ -1,26 +1,31 @@
 package coverage
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/artifact"
 	"repro/internal/faults"
 	"repro/internal/march"
 )
 
-// Stream compilation and batch planning for the lane engine's compiled
-// replay path.
+// Stream compilation and batch planning for the lane engine.
 //
-// The interpreted replay pays per-op dispatch tax: every captured
-// march.StreamOp re-validates its access, re-runs redirect decode and
-// walks the full fault machinery whether or not the batch contains the
-// faults that need it. The compiled path removes both taxes at their
-// roots: the stream is lowered once per (algorithm, geometry) into a
+// The stream is lowered once per (algorithm, geometry) into a
 // validated faults.CompiledStream (bounds proven at compile time, cell
-// indices pre-resolved), and the universe is packed into batches
-// partitioned by fault-mechanism class, so nearly every batch replays
-// through a specialized kernel that carries only the machinery its
-// class needs (see faults.Kernel). Both artifacts are deterministic per
-// workload and content-addressed in the artifact cache next to the
-// streams and universes they derive from.
+// indices pre-resolved, a per-word µop index built), and the universe
+// is packed into one of two batch plans:
+//
+//   - whole-stream: batches partitioned by fault-mechanism class, each
+//     replaying the whole stream on a full-size memory through the
+//     specialised kernel its class admits (see faults.Kernel);
+//   - support-sliced: batches of faults sharing one support (the one or
+//     two words they can touch), each replaying only the µops of those
+//     words on a 1–2-word local memory (faults.ReplayProjected).
+//
+// The cost rule (slicedCheaper) picks one plan per grade. All three
+// artifacts are deterministic per workload and content-addressed in the
+// artifact cache next to the streams and universes they derive from.
 
 // compiledKey content-addresses a compiled stream. The architecture is
 // deliberately absent: the batched engine only runs streams verified
@@ -74,11 +79,14 @@ func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStrea
 // laneBatch is one planned batch of a partitioned universe: the packed
 // fault slice (logical lane k carries faults[k-1]), each fault's
 // universe index for verdict commitment, and the active plane count the
-// batch needs (small batches replay proportionally fewer planes).
+// batch needs (small batches replay proportionally fewer planes). A
+// support-sliced batch also names its support words; its faults are in
+// the local coordinates of a memory whose address k is words[k].
 type laneBatch struct {
 	faults []faults.Fault
 	idx    []int32
 	planes int
+	words  []int32
 }
 
 // kernelClass partitions fault kinds by the replay capability they
@@ -102,27 +110,175 @@ func kernelClass(k faults.Kind) int {
 
 const numClasses = 5
 
-// partitionKey content-addresses a batch plan: the universe key plus
-// the lane width that bounds batch capacity.
+// partitionKey content-addresses a batch plan: the universe key, the
+// lane width that bounds batch capacity and the plan kind.
 type partitionKey struct {
 	size, width int
 	uopts       faults.UniverseOpts
 	lanes       int
+	sliced      bool
 }
 
 var partitionCache = artifact.New[partitionKey, []laneBatch]("partition", 0)
 
-// cachedPartition returns the batch plan for a workload, memoised on
-// the universe key + lane width. Cached plans are shared and immutable;
-// crucially, their fault slices are *stable*, so an arena that already
-// replayed a batch recognises the identical slice on the next Grade
-// call and skips re-injection (faults.LaneInjected.ResetPlanes).
-func cachedPartition(opts Options, universe []faults.Fault) []laneBatch {
-	key := partitionKey{size: opts.Size, width: opts.Width, uopts: opts.Universe, lanes: opts.Lanes}
+// cachedPartition returns the whole-stream or support-sliced batch plan
+// for a workload, memoised on the universe key + lane width + kind.
+// Cached plans are shared and immutable; crucially, whole-stream plans'
+// fault slices are *stable*, so an arena that already replayed a batch
+// recognises the identical slice on the next Grade call and skips
+// re-injection (faults.LaneInjected.ResetPlanes).
+func cachedPartition(opts Options, universe []faults.Fault, sliced bool) []laneBatch {
+	key := partitionKey{size: opts.Size, width: opts.Width, uopts: opts.Universe, lanes: opts.Lanes, sliced: sliced}
 	plan, _ := partitionCache.Get(key, func() ([]laneBatch, error) {
+		if sliced {
+			return buildSlicedPartition(universe, opts.Width, opts.Lanes/64), nil
+		}
 		return buildPartition(universe, opts.Lanes/64), nil
 	})
 	return plan
+}
+
+// slicedBatchCost is the fixed cost of one support-sliced batch in
+// µop-equivalents: resetting and injecting the local arena, projecting
+// the stream and committing verdicts. Measured on a 2-CPU linux/amd64
+// VM, one worker, microcode, each library algorithm timed under both
+// plans: bit-oriented 8- and 16-word memories (one or two ports) graded
+// 0.2–0.9× as fast sliced, and the constant at which the rule would
+// flip to sliced there was at most 57 (March C++, 8×1 and 16×1 on two
+// ports). At 64×1 and on 2- and 4-bit words sliced replay was mostly
+// 1.5–3× faster, with flip points from 15 to 330; at 256×4, 15× faster
+// with flip points near 1,000. 64 keeps every 8- and 16-word
+// bit-oriented grade on whole-stream replay.
+const slicedBatchCost = 64
+
+// slicedCheaper is the cost rule choosing a grade's plan: the µops a
+// support-sliced plan replays (each batch's projection plus
+// slicedBatchCost) against those of the whole-stream plan (its batch
+// count times the stream length). Early exits are ignored on both
+// sides.
+func slicedCheaper(cs *faults.CompiledStream, universe []faults.Fault, width, maxPlanes int) bool {
+	capacity := faults.BatchLimit(maxPlanes)
+	var byClass [numClasses]int
+	for _, f := range universe {
+		byClass[kernelClass(f.Kind)]++
+	}
+	whole := 0
+	for _, n := range byClass {
+		whole += (n + capacity - 1) / capacity
+	}
+	wholeCost := whole * cs.Len()
+	slicedCost := 0
+	for _, g := range supportGroups(universe, width) {
+		batches := (len(g.idx) + capacity - 1) / capacity
+		slicedCost += batches * (cs.ProjectedLen(g.words[:g.n]) + slicedBatchCost)
+		if slicedCost >= wholeCost {
+			return false
+		}
+	}
+	return true
+}
+
+// planKey content-addresses a plan choice: the compiled stream and the
+// partition it is weighed against.
+type planKey struct {
+	stream compiledKey
+	uopts  faults.UniverseOpts
+	lanes  int
+}
+
+var planCache = artifact.New[planKey, bool]("plan", 0)
+
+// planOverride is a test seam: planAuto applies the cost rule, the
+// others force one plan so small-geometry tests can pin both.
+var planOverride = planAuto
+
+const (
+	planAuto = iota
+	planSliced
+	planWhole
+)
+
+// choosePlan returns the batch plan a grade replays and whether it is
+// support-sliced. Only the chosen plan is built; the choice itself is
+// cached per stream and partition.
+func choosePlan(alg march.Algorithm, opts Options, universe []faults.Fault, cs *faults.CompiledStream) ([]laneBatch, bool) {
+	var sliced bool
+	switch planOverride {
+	case planSliced:
+		sliced = true
+	case planWhole:
+	default:
+		key := planKey{
+			stream: compiledKey{algFP: march.Fingerprint(alg), size: opts.Size, width: opts.Width, ports: opts.Ports},
+			uopts:  opts.Universe, lanes: opts.Lanes,
+		}
+		sliced, _ = planCache.Get(key, func() (bool, error) {
+			return slicedCheaper(cs, universe, opts.Width, opts.Lanes/64), nil
+		})
+	}
+	return cachedPartition(opts, universe, sliced), sliced
+}
+
+// supportGroup is the universe faults sharing one support: words[:n]
+// in ascending order, idx the faults' universe indices in universe
+// order.
+type supportGroup struct {
+	words [2]int32
+	n     int
+	idx   []int32
+}
+
+// supportGroups groups the universe by fault support, in ascending
+// support order.
+func supportGroups(universe []faults.Fault, width int) []supportGroup {
+	keys := make([]uint64, len(universe))
+	order := make([]int32, len(universe))
+	for i, f := range universe {
+		w, n := faults.Support(f, width)
+		keys[i] = uint64(w[0])<<32 | uint64(w[n-1])
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	var groups []supportGroup
+	for start := 0; start < len(order); {
+		end := start + 1
+		for end < len(order) && keys[order[end]] == keys[order[start]] {
+			end++
+		}
+		w, n := faults.Support(universe[order[start]], width)
+		groups = append(groups, supportGroup{words: w, n: n, idx: order[start:end:end]})
+		start = end
+	}
+	return groups
+}
+
+// buildSlicedPartition packs the universe into support-sliced batches:
+// each support group split into batches of at most BatchLimit(maxPlanes)
+// faults, localised onto the group's words.
+func buildSlicedPartition(universe []faults.Fault, width, maxPlanes int) []laneBatch {
+	groups := supportGroups(universe, width)
+	capacity := faults.BatchLimit(maxPlanes)
+	packed := make([]faults.Fault, 0, len(universe))
+	words := make([]int32, 0, 2*len(groups))
+	var batches []laneBatch
+	for _, g := range groups {
+		words = append(words, g.words[:g.n]...)
+		gw := words[len(words)-g.n : len(words) : len(words)]
+		for start := 0; start < len(g.idx); start += capacity {
+			chunk := g.idx[start:min(start+capacity, len(g.idx))]
+			first := len(packed)
+			for _, ui := range chunk {
+				packed = append(packed, faults.Localize(universe[ui], width, gw))
+			}
+			batches = append(batches, laneBatch{
+				faults: packed[first:len(packed):len(packed)],
+				idx:    chunk,
+				planes: min((len(chunk)+64)/64, maxPlanes),
+				words:  gw,
+			})
+		}
+	}
+	return batches
 }
 
 // buildPartition packs the universe into kind-partitioned batches of at

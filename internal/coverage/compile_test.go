@@ -9,13 +9,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestCompiledReplayMatchesInterpreted is the acceptance property of
-// the compiled replay path: for every architecture and every algorithm
-// in the march library, at the narrowest and widest lane widths and at
-// serial and GOMAXPROCS worker counts, grading with ReplayCompiled must
-// produce a Report byte-identical to ReplayInterpreted — the reference
-// the kernels are validated against.
-func TestCompiledReplayMatchesInterpreted(t *testing.T) {
+// TestCompiledReplayMatchesScalar is the acceptance property of the
+// compiled replay path: for every architecture and every algorithm in
+// the march library, at the narrowest and widest lane widths and at
+// serial and GOMAXPROCS worker counts, grading on the lane engine must
+// produce a Report byte-identical to the scalar oracle.
+func TestCompiledReplayMatchesScalar(t *testing.T) {
 	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
 		names = append(names, name)
@@ -24,22 +23,18 @@ func TestCompiledReplayMatchesInterpreted(t *testing.T) {
 	for _, arch := range []Architecture{Reference, Microcode, ProgFSM, Hardwired} {
 		for _, name := range names {
 			alg, _ := march.ByName(name)
+			want, err := Grade(alg, arch, Options{Size: 8, Workers: 1, Engine: EngineScalar})
+			if err != nil {
+				t.Fatalf("%s on %s: scalar: %v", name, arch, err)
+			}
 			for _, lanes := range []int{64, 512} {
-				want, err := Grade(alg, arch, Options{
-					Size: 8, Lanes: lanes, Workers: 1, Replay: ReplayInterpreted,
-				})
-				if err != nil {
-					t.Fatalf("%s on %s lanes=%d: interpreted: %v", name, arch, lanes, err)
-				}
 				for _, workers := range []int{1, 0} {
-					got, err := Grade(alg, arch, Options{
-						Size: 8, Lanes: lanes, Workers: workers, Replay: ReplayCompiled,
-					})
+					got, err := Grade(alg, arch, Options{Size: 8, Lanes: lanes, Workers: workers})
 					if err != nil {
 						t.Fatalf("%s on %s lanes=%d workers=%d: compiled: %v", name, arch, lanes, workers, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s on %s lanes=%d workers=%d: compiled report differs from interpreted:\ngot  %v\nwant %v",
+						t.Errorf("%s on %s lanes=%d workers=%d: compiled report differs from scalar:\ngot  %v\nwant %v",
 							name, arch, lanes, workers, got, want)
 					}
 					if got.String() != want.String() {
@@ -54,10 +49,10 @@ func TestCompiledReplayMatchesInterpreted(t *testing.T) {
 // TestCompiledReplayResumeQuarantine extends the equivalence property
 // through the resilience machinery: with always-panicking faults
 // spanning several partition batches (quarantine path) and a mid-run
-// checkpoint that a second run resumes from, both replay modes must
-// still converge on byte-identical reports — including resuming a
-// checkpoint written by the *other* mode, since State is
-// replay-agnostic.
+// checkpoint that a second run resumes from, the scalar oracle and
+// both replay plans must converge on byte-identical reports —
+// including resuming a checkpoint written by another engine or plan,
+// since State is engine-agnostic.
 func TestCompiledReplayResumeQuarantine(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	targets := map[int]bool{3: true, 63: true, 64: true, 127: true}
@@ -66,10 +61,21 @@ func TestCompiledReplayResumeQuarantine(t *testing.T) {
 			panic("chaos: injected fault hook panic")
 		}
 	}
-	run := func(replay Replay, resume *State) (*Report, *State) {
+	type variant struct {
+		name   string
+		engine Engine
+		plan   int
+	}
+	variants := []variant{
+		{"scalar", EngineScalar, planAuto},
+		{"whole-stream", EngineAuto, planWhole},
+		{"sliced", EngineAuto, planSliced},
+	}
+	run := func(v variant, resume *State) (*Report, *State) {
+		defer forcePlan(v.plan)()
 		var first *State
 		opts := Options{
-			Size: 16, Workers: 1, Replay: replay,
+			Size: 16, Workers: 1, Engine: v.engine,
 			FaultHook:       hook,
 			CheckpointEvery: 200,
 			Resume:          resume,
@@ -81,66 +87,56 @@ func TestCompiledReplayResumeQuarantine(t *testing.T) {
 		}
 		rep, err := Grade(alg, Microcode, opts)
 		if err != nil {
-			t.Fatalf("replay=%d resume=%v: %v", replay, resume != nil, err)
+			t.Fatalf("%s resume=%v: %v", v.name, resume != nil, err)
 		}
 		return rep, first
 	}
 
-	repI, ckI := run(ReplayInterpreted, nil)
-	repC, ckC := run(ReplayCompiled, nil)
-	if len(repI.Quarantined) != len(targets) {
-		t.Fatalf("interpreted run quarantined %d faults, want %d", len(repI.Quarantined), len(targets))
+	want, _ := run(variants[0], nil)
+	if len(want.Quarantined) != len(targets) {
+		t.Fatalf("scalar run quarantined %d faults, want %d", len(want.Quarantined), len(targets))
 	}
-	if !reflect.DeepEqual(repC, repI) {
-		t.Errorf("compiled report differs from interpreted under quarantine:\ngot  %v\nwant %v", repC, repI)
+	checkpoints := make([]*State, len(variants))
+	for i, v := range variants {
+		rep, ck := run(v, nil)
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("%s report differs from scalar under quarantine:\ngot  %v\nwant %v", v.name, rep, want)
+		}
+		if ck == nil {
+			t.Fatalf("%s: no mid-run checkpoint with quarantine entries was captured", v.name)
+		}
+		checkpoints[i] = ck
 	}
-	if ckI == nil || ckC == nil {
-		t.Fatal("no mid-run checkpoint with quarantine entries was captured")
-	}
-
-	// Resume every (checkpoint origin, replay mode) pairing; all four
-	// must land on the uninterrupted interpreted report.
-	for _, tc := range []struct {
-		name   string
-		replay Replay
-		ck     *State
-	}{
-		{"interpreted from interpreted ckpt", ReplayInterpreted, ckI},
-		{"compiled from compiled ckpt", ReplayCompiled, ckC},
-		{"compiled from interpreted ckpt", ReplayCompiled, ckI},
-		{"interpreted from compiled ckpt", ReplayInterpreted, ckC},
-	} {
-		got, _ := run(tc.replay, tc.ck)
-		if !reflect.DeepEqual(got, repI) {
-			t.Errorf("%s: resumed report differs from uninterrupted run", tc.name)
+	// Resume every (checkpoint origin, resuming variant) pairing; all
+	// must land on the uninterrupted report.
+	for ci, ck := range checkpoints {
+		for _, v := range variants {
+			if got, _ := run(v, ck); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s from %s checkpoint: resumed report differs from uninterrupted run", v.name, variants[ci].name)
+			}
 		}
 	}
 }
 
-// TestInterpretedReplayPinsNoCompile pins the Options.Replay knob: the
-// interpreted mode must never compile the stream or dispatch a
-// specialized kernel.
-func TestInterpretedReplayPinsNoCompile(t *testing.T) {
+// TestScalarEnginePinsNoCompile pins Options.Engine: the scalar oracle
+// must never compile the stream or replay a lane batch.
+func TestScalarEnginePinsNoCompile(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
 	alg, _ := march.ByName("marchc")
-	if _, err := Grade(alg, Microcode, Options{Size: 8, Replay: ReplayInterpreted}); err != nil {
+	if _, err := Grade(alg, Microcode, Options{Size: 8, Engine: EngineScalar}); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("coverage.compiled_streams").Value(); n != 0 {
-		t.Errorf("interpreted replay compiled %d streams, want 0", n)
+	for _, name := range []string{"coverage.compiled_streams", "coverage.batches_replayed", "coverage.fast_kernel_batches", "coverage.sliced_batches"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("scalar engine: %s = %d, want 0", name, n)
+		}
 	}
-	if n := reg.Counter("coverage.fast_kernel_batches").Value(); n != 0 {
-		t.Errorf("interpreted replay took %d specialized kernel batches, want 0", n)
+	if reg.Counter("coverage.faults_graded").Value() == 0 {
+		t.Error("scalar engine graded no faults")
 	}
-	if reg.Counter("coverage.batches_replayed").Value() == 0 {
-		t.Error("interpreted replay did not use the batched engine")
-	}
-	// A clean grade must replay every batch in-lane: panic retries on
-	// the interpreted path mean it silently degraded to the scalar
-	// engine (correct reports, interpreted-vs-compiled timings bogus).
 	if n := reg.Counter("coverage.panic_retries").Value(); n != 0 {
-		t.Errorf("interpreted replay fell back to %d scalar panic retries, want 0", n)
+		t.Errorf("clean scalar grade took %d panic retries, want 0", n)
 	}
 }
 

@@ -3,8 +3,9 @@
 // oracle builds a fresh memory per fault, injects it and executes the
 // full test (one complete run per fault); the lane-parallel engine
 // captures the architecture's canonical operation stream once and
-// replays it over 63-fault batches packed into uint64 bit-planes
-// (PPSFP applied to the behavioural memory model). Both produce
+// replays it over fault batches packed into uint64 bit-planes (PPSFP
+// applied to the behavioural memory model), either whole or projected
+// onto the one or two words each batch's faults touch. Both produce
 // byte-identical Reports; the lane engine is used automatically
 // whenever the captured stream matches the reference stream.
 //
@@ -69,23 +70,6 @@ const (
 	EngineScalar
 )
 
-// Replay selects how the batched engine executes the captured stream.
-type Replay uint8
-
-const (
-	// ReplayCompiled (the default) lowers the captured stream once per
-	// (algorithm, geometry) into a validated µop program and replays
-	// batches through capability-gated kernels (faults.Kernel): batches
-	// free of decoder/coupling/latch machinery skip those code paths
-	// entirely. Verdicts are byte-identical to ReplayInterpreted.
-	ReplayCompiled Replay = iota
-	// ReplayInterpreted dispatches each captured march.StreamOp through
-	// the general Write/ReadLanes path — the reference the compiled
-	// kernels are validated against, and the automatic fallback when
-	// compilation fails.
-	ReplayInterpreted
-)
-
 // Options configures a grading run.
 //
 // Every field must either be folded into the checkpoint fingerprint
@@ -118,12 +102,6 @@ type Options struct {
 	// scalar engine and excluded from Fingerprint.
 	//mbist:fingerprint-exclude lane width only re-partitions batches; verdicts commit in universe order
 	Lanes int
-	// Replay selects the batched engine's stream execution mode
-	// (default ReplayCompiled). Reports are byte-identical in both
-	// modes — this is a throughput/validation knob, ignored by the
-	// scalar engine and excluded from Fingerprint.
-	//mbist:fingerprint-exclude compiled and interpreted replay are validated byte-identical
-	Replay Replay
 
 	// FaultHook, when non-nil, is called with each fault's universe
 	// index immediately before that fault is graded (once per occupied

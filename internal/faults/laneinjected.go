@@ -819,6 +819,21 @@ func (m *LaneInjected) Pause() {
 	m.applyStateCFs()
 }
 
+// loadLatch sets port's sense latch to data in every lane: what a read
+// of fault-free cells holding data leaves behind (see UOpSense).
+//
+//mbist:hotpath
+func (m *LaneInjected) loadLatch(port int, data uint64) {
+	sl := m.senseLatch[port]
+	np := m.np
+	for bit := 0; bit < m.width; bit++ {
+		v := -(data >> uint(bit) & 1)
+		for p := 0; p < np; p++ {
+			sl[bit*np+p] = v
+		}
+	}
+}
+
 // CellPlane returns the raw stored plane-0 lane word of a cell (test
 // introspection).
 func (m *LaneInjected) CellPlane(cell int) uint64 { return m.planes[cell*m.np] }

@@ -111,6 +111,12 @@ const (
 	UOpRead
 	// UOpPause models a retention delay (march "Del" element).
 	UOpPause
+	// UOpSense loads Data into Port's sense latch in every lane. Only
+	// projected streams carry it (see ReplayProjected): it stands for a
+	// read of a word outside the projection, which senses fault-free
+	// cells in every lane. Captured streams never contain it, so
+	// NewCompiledStream rejects it.
+	UOpSense
 )
 
 // UOp is one compiled micro-operation of a march stream: the port,
@@ -129,6 +135,10 @@ type UOp struct {
 	Kind uint8
 	// Port is the access port.
 	Port uint8
+	// prevRead is, on a compiled read, the µop index of the previous
+	// read on the same port (-1 for none). NewCompiledStream sets it;
+	// it sits in what would be padding, so µops stay 24 bytes.
+	prevRead int32
 }
 
 // CompiledStream is a validated, immutable µop program for one
@@ -136,17 +146,36 @@ type UOp struct {
 // compile time, so replay kernels run without per-op access checks.
 // Compile once (it is content-addressed by the coverage layer), replay
 // per batch.
+//
+// The stream also carries a per-word µop index for support-sliced
+// replay (ReplayProjected), in CSR layout (4 B per µop):
+// byWord[wordStart[a]:wordStart[a+1]] lists, in stream order, the µops
+// that access word a. pauses lists the pause µops. With each read's
+// link to the previous read on its port (UOp.prevRead), that is all a
+// projection needs to stand in for the reads it drops.
 type CompiledStream struct {
 	size  int
 	width int
 	ports int
 	ops   []UOp
+
+	wordStart []int32
+	byWord    []int32
+	pauses    []int32
+
+	// goodErr is the first misread of a fault-free machine running the
+	// whole stream, nil when every expected read value is right.
+	goodErr error
 }
 
 // NewCompiledStream validates ops against the geometry and returns the
 // compiled program. The op slice is copied: a CompiledStream never
 // aliases caller memory, so cached streams are safe to share across
 // grading workers.
+//
+// It also runs the stream once on a fault-free machine and keeps the
+// outcome (GoodMachineErr): a projected replay only checks the good
+// machine on its own words, so this one pass is what checks the rest.
 func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, error) {
 	if size <= 0 || width < 1 || width > 64 || ports <= 0 {
 		return nil, fmt.Errorf("faults: bad geometry %dx%d, %d ports", size, width, ports)
@@ -179,11 +208,149 @@ func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, erro
 	}
 	cs := &CompiledStream{size: size, width: width, ports: ports, ops: make([]UOp, len(ops))}
 	copy(cs.ops, ops)
+	cs.index()
 	return cs, nil
+}
+
+// index builds the per-word µop index, the pause list and the
+// previous-read links, and runs the fault-free machine.
+func (cs *CompiledStream) index() {
+	cs.wordStart = make([]int32, cs.size+1)
+	lastRead := make([]int32, cs.ports)
+	for p := range lastRead {
+		lastRead[p] = -1
+	}
+	good := make([]uint64, cs.size)
+	for i := range cs.ops {
+		op := &cs.ops[i]
+		op.prevRead = -1
+		if op.Kind == UOpPause {
+			cs.pauses = append(cs.pauses, int32(i))
+			continue
+		}
+		cs.wordStart[op.Addr+1]++
+		if op.Kind == UOpWrite {
+			good[op.Addr] = op.Data
+			continue
+		}
+		op.prevRead = lastRead[op.Port]
+		lastRead[op.Port] = int32(i)
+		if good[op.Addr] != op.Data && cs.goodErr == nil {
+			cs.goodErr = fmt.Errorf("faults: fault-free machine reads %#x at port %d addr %d (µop %d), stream expects %#x",
+				good[op.Addr], op.Port, op.Addr, i, op.Data)
+		}
+	}
+	for a := 0; a < cs.size; a++ {
+		cs.wordStart[a+1] += cs.wordStart[a]
+	}
+	cs.byWord = make([]int32, cs.wordStart[cs.size])
+	fill := append([]int32(nil), cs.wordStart[:cs.size]...)
+	for i := range cs.ops {
+		if op := &cs.ops[i]; op.Kind != UOpPause {
+			cs.byWord[fill[op.Addr]] = int32(i)
+			fill[op.Addr]++
+		}
+	}
 }
 
 // Len returns the µop count.
 func (cs *CompiledStream) Len() int { return len(cs.ops) }
+
+// GoodMachineErr reports the first read whose expected value a
+// fault-free machine running the whole stream does not return, or nil.
+// Whole-stream replay finds such a read on its own (lane 0 misreads);
+// a projected replay only sees reads of its own words, so a grader
+// that replays projections must check this first.
+func (cs *CompiledStream) GoodMachineErr() error { return cs.goodErr }
+
+// ProjectedLen returns the µop count of the stream projected onto
+// words (see ReplayProjected), not counting the UOpSense µops the
+// projection inserts.
+func (cs *CompiledStream) ProjectedLen(words []int32) int {
+	n := len(cs.pauses)
+	for _, a := range words {
+		n += int(cs.wordStart[a+1] - cs.wordStart[a])
+	}
+	return n
+}
+
+// project appends to dst the stream restricted to the µops that access
+// words, plus every pause, in stream order, with word words[k]
+// renumbered to local address k. A projected read whose previous read
+// on the same port hit a word outside the projection is preceded by a
+// UOpSense carrying that read's expected word: that read sensed
+// fault-free cells in every lane, which is what the sense latch then
+// holds. words holds one or two distinct in-range addresses.
+//
+//mbist:hotpath
+func (cs *CompiledStream) project(words []int32, dst []UOp) []UOp {
+	w0, w1 := words[0], int32(-1)
+	a := cs.byWord[cs.wordStart[w0]:cs.wordStart[w0+1]]
+	var b []int32
+	if len(words) > 1 {
+		w1 = words[1]
+		b = cs.byWord[cs.wordStart[w1]:cs.wordStart[w1+1]]
+	}
+	ps := cs.pauses
+	for len(a)+len(b) > 0 {
+		var i int32
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			i, a = a[0], a[1:]
+		} else {
+			i, b = b[0], b[1:]
+		}
+		for len(ps) > 0 && ps[0] < i {
+			ps = ps[1:]
+			dst = append(dst, UOp{Kind: UOpPause})
+		}
+		op := cs.ops[i]
+		if op.Kind == UOpRead {
+			if j := op.prevRead; j >= 0 {
+				if pa := cs.ops[j].Addr; pa != w0 && pa != w1 {
+					dst = append(dst, UOp{Kind: UOpSense, Port: op.Port, Data: cs.ops[j].Data})
+				}
+			}
+		}
+		local := int32(0)
+		if op.Addr != w0 {
+			local = 1
+		}
+		op.Addr, op.Cell, op.prevRead = local, local*int32(cs.width), -1
+		dst = append(dst, op)
+	}
+	for range ps {
+		dst = append(dst, UOp{Kind: UOpPause})
+	}
+	return dst
+}
+
+// ReplayProjected replays the stream projected onto one or two words
+// (see project) on a local memory whose address k stands for words[k],
+// with the batch's faults injected in those local coordinates. Faults
+// of the batch must touch no word outside words; then every other word
+// holds fault-free values in every lane and dropping its µops changes
+// no verdict. buf is scratch for the projection, returned for reuse.
+// Lane 0 is checked only on the projected reads: callers check the
+// whole stream with GoodMachineErr.
+//
+//mbist:hotpath
+func (m *LaneInjected) ReplayProjected(cs *CompiledStream, words []int32, buf []UOp, fail *[MaxPlanes]uint64) (Kernel, []UOp, error) {
+	if cs.width != m.width || cs.ports != m.ports {
+		return 0, buf, fmt.Errorf("faults: stream compiled for width %d/%d ports replayed on %d/%d",
+			cs.width, cs.ports, m.width, m.ports)
+	}
+	if len(words) < 1 || len(words) > 2 || len(words) > m.size {
+		return 0, buf, fmt.Errorf("faults: projection onto %d words on a %d-word memory", len(words), m.size)
+	}
+	for k, a := range words {
+		if a < 0 || int(a) >= cs.size || (k == 1 && a == words[0]) {
+			return 0, buf, fmt.Errorf("faults: bad projection words %v for %d-word stream", words, cs.size)
+		}
+	}
+	buf = cs.project(words, buf[:0])
+	kern, err := m.replayOps(buf, fail)
+	return kern, buf, err
+}
 
 // Geometry returns the memory geometry the stream was compiled for.
 func (cs *CompiledStream) Geometry() (size, width, ports int) {
@@ -207,6 +374,14 @@ func (m *LaneInjected) Replay(cs *CompiledStream, fail *[MaxPlanes]uint64) (Kern
 		return 0, fmt.Errorf("faults: stream compiled for %dx%d/%d replayed on %dx%d/%d",
 			cs.size, cs.width, cs.ports, m.size, m.width, m.ports)
 	}
+	return m.replayOps(cs.ops, fail)
+}
+
+// replayOps runs validated µops through the cheapest kernel the batch
+// admits.
+//
+//mbist:hotpath
+func (m *LaneInjected) replayOps(ops []UOp, fail *[MaxPlanes]uint64) (Kernel, error) {
 	*fail = [MaxPlanes]uint64{}
 	var occ [MaxPlanes]uint64
 	for p := 0; p < m.np; p++ {
@@ -216,22 +391,21 @@ func (m *LaneInjected) Replay(cs *CompiledStream, fail *[MaxPlanes]uint64) (Kern
 	var err error
 	switch kern {
 	case KernelMask:
-		err = m.replayMask(cs.ops, fail, &occ)
+		err = m.replayMask(ops, fail, &occ)
 	case KernelLatch:
-		err = m.replayLatch(cs.ops, fail, &occ)
+		err = m.replayLatch(ops, fail, &occ)
 	case KernelCoupling:
-		err = m.replayCoupling(cs.ops, fail, &occ)
+		err = m.replayCoupling(ops, fail, &occ)
 	case KernelAF:
-		err = m.replayAF(cs.ops, fail, &occ)
+		err = m.replayAF(ops, fail, &occ)
 	default:
-		err = m.replayGeneral(cs.ops, fail, &occ)
+		err = m.replayGeneral(ops, fail, &occ)
 	}
 	return kern, err
 }
 
-// goodLaneErr reports a good-machine misread — the compiled analogue
-// of the interpreted replay's divergence error, and the trigger for
-// the caller's scalar fallback.
+// goodLaneErr reports a good-machine misread: the stream does not
+// match the fault-free behaviour of the geometry it was compiled for.
 func goodLaneErr(op *UOp) error {
 	return fmt.Errorf("faults: good machine failed reading port %d addr %d", op.Port, op.Addr)
 }
@@ -321,6 +495,8 @@ func (m *LaneInjected) replayMask(ops []UOp, fail, occ *[MaxPlanes]uint64) error
 			if replayDone(fail, occ, np) {
 				return nil
 			}
+		case UOpSense:
+			// No sense-latch state in a mask batch.
 		default: // UOpPause
 			for _, e := range m.drf {
 				i := e.cell*np + e.plane
@@ -421,6 +597,8 @@ func (m *LaneInjected) replayLatch(ops []UOp, fail, occ *[MaxPlanes]uint64) erro
 			if replayDone(fail, occ, np) {
 				return nil
 			}
+		case UOpSense:
+			m.loadLatch(int(op.Port), op.Data)
 		default: // UOpPause
 			for _, e := range m.drf {
 				i := e.cell*np + e.plane
@@ -540,6 +718,8 @@ func (m *LaneInjected) replayCoupling(ops []UOp, fail, occ *[MaxPlanes]uint64) e
 			if replayDone(fail, occ, np) {
 				return nil
 			}
+		case UOpSense:
+			// No sense-latch state in a coupling batch.
 		default: // UOpPause
 			for _, e := range m.drf {
 				i := e.cell*np + e.plane
@@ -621,6 +801,9 @@ func (m *LaneInjected) replayAF(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
 			if replayDone(fail, occ, np) {
 				return nil
 			}
+		case UOpSense, UOpPause:
+			// No sense-latch, retention or state-coupling faults in an
+			// AF batch.
 		}
 	}
 	return nil
@@ -628,9 +811,8 @@ func (m *LaneInjected) replayAF(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
 
 // replayGeneral is the catch-all: full Write/ReadLanes/Pause semantics
 // driven by the µop buffer, with the read fused against the expected
-// values (no caller-side result buffer). It differs from the
-// interpreted path only in skipping per-op access validation, which
-// NewCompiledStream already proved.
+// values (no caller-side result buffer). Its Write/ReadLanes calls
+// re-check every access, which NewCompiledStream has already proved.
 //
 //mbist:hotpath
 func (m *LaneInjected) replayGeneral(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
@@ -656,6 +838,8 @@ func (m *LaneInjected) replayGeneral(ops []UOp, fail, occ *[MaxPlanes]uint64) er
 			if replayDone(fail, occ, np) {
 				return nil
 			}
+		case UOpSense:
+			m.loadLatch(int(op.Port), op.Data)
 		default:
 			m.Pause()
 		}

@@ -10,11 +10,22 @@ import (
 // values computed on a fault-free scalar machine. Long read runs occur
 // often enough to decay RDF lanes and exercise sense-latch state.
 func testStream(t *testing.T, size, width, ports int, seed int64, steps int) *CompiledStream {
+	return buildTestStream(t, size, width, ports, seed, steps, false)
+}
+
+// buildTestStream is testStream, optionally opened by a write of every
+// word (on port 0, random data) as a march test's first element is.
+func buildTestStream(t *testing.T, size, width, ports int, seed int64, steps int, sweep bool) *CompiledStream {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	good := NewInjected(size, width, ports)
 	mask := uint64(1)<<uint(width) - 1
-	ops := make([]UOp, 0, steps)
+	ops := make([]UOp, 0, steps+size)
+	for addr := 0; sweep && addr < size; addr++ {
+		data := rng.Uint64() & mask
+		good.Write(0, addr, data)
+		ops = append(ops, UOp{Kind: UOpWrite, Addr: int32(addr), Cell: int32(addr * width), Data: data})
+	}
 	for i := 0; i < steps; i++ {
 		port := rng.Intn(ports)
 		addr := rng.Intn(size)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	mbist "repro"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/sweep"
@@ -99,6 +100,12 @@ func TestJournalRecoveryResumesByteIdentical(t *testing.T) {
 	if got != want {
 		t.Fatalf("resumed report diverges from uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s", got, want)
 	}
+	j2.mu.Lock()
+	held := len(j2.resume)
+	j2.mu.Unlock()
+	if held != 0 {
+		t.Errorf("finished recovered job still holds %d checkpoint states", held)
+	}
 
 	// The idempotency key survives the restart: resubmitting returns
 	// the completed job instead of grading again.
@@ -158,6 +165,94 @@ func TestJournalRecoveryKeepsTerminalJobs(t *testing.T) {
 	s2.journalMu.Unlock()
 	if records != 2 {
 		t.Errorf("compacted journal holds %d records, want 2 (accepted + done)", records)
+	}
+}
+
+// TestFinishedJobsReleaseCheckpointStates pins bounded job state: a
+// grade job keeps its checkpoint states only while it can still
+// resume, so a finished (or failed) job, sharded or not, holds none.
+func TestFinishedJobsReleaseCheckpointStates(t *testing.T) {
+	s, err := New(Options{Workers: 1, JournalDir: t.TempDir(), CheckpointEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := sweep.Spec{Algs: "marchc", Size: 64, Width: 2}
+	var jobs []*Job
+	for _, shards := range []int{0, 4} {
+		job, _, err := s.Submit(Request{Kind: "grade", Grade: &GradeRequest{Spec: spec, Shards: shards}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	failing := &Job{Kind: "test", total: 1, retries: -1, run: func(ctx context.Context) (string, error) {
+		return "", errors.New("permanent engine fault")
+	}}
+	failing.resume = map[string]*mbist.CoverageState{"x": {}}
+	if err := s.enqueue(failing); err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, failing)
+	for _, job := range jobs {
+		waitFor(t, "job "+job.ID, func() bool { return job.status().State.terminal() })
+		job.mu.Lock()
+		held, checkpoints := len(job.resume), job.checkpoints
+		job.mu.Unlock()
+		if held != 0 {
+			t.Errorf("%s job %s (%d checkpoints) still holds %d checkpoint states", job.status().State, job.ID, checkpoints, held)
+		}
+		if job.Kind == "grade" && checkpoints == 0 {
+			t.Errorf("grade job %s journaled no checkpoints; the test needs a larger workload", job.ID)
+		}
+	}
+}
+
+// TestJournalWithReplayFieldRecovers pins compatibility with journals
+// written before the replay-mode field was removed from sweep.Spec: an
+// accepted request carrying "replay" still recovers and grades, since
+// journal records decode leniently (only POST /v1/jobs rejects unknown
+// fields).
+func TestJournalWithReplayFieldRecovers(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := resilience.OpenJournal(filepath.Join(dir, jobsJournalName), jobsJournalOwner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := json.RawMessage(`{"op":"accepted","id":"job-7","req":{"kind":"grade","grade":{"algs":"mats+","size":8,"replay":"interpreted"}}}`)
+	if err := j.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	s, err := New(Options{Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("journal with a replay field refused: %v", err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	job := s.jobs["job-7"]
+	s.mu.Unlock()
+	if job == nil {
+		t.Fatal("job-7 not recovered")
+	}
+	waitFor(t, "recovered job", func() bool { return job.status().State.terminal() })
+	if st := job.status(); st.State != StateDone {
+		t.Fatalf("recovered job ended %s: %s", st.State, st.Error)
+	}
+	w, err := sweep.Spec{Algs: "mats+", Size: 8}.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := w.Grade(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.mu.Lock()
+	got := job.result
+	job.mu.Unlock()
+	if want := w.RenderText(reports); got != want {
+		t.Fatalf("recovered report diverges:\n%s\nvs\n%s", got, want)
 	}
 }
 

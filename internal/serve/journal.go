@@ -193,7 +193,6 @@ func (s *Server) openJournal(dir string) ([]*Job, error) {
 		job.ID = id
 		job.Key = r.accepted.Key
 		job.checkpoints = r.checkpoints
-		job.resume = r.resume
 		switch {
 		case perr != nil:
 		case r.terminal != nil:
@@ -211,6 +210,7 @@ func (s *Server) openJournal(dir string) ([]*Job, error) {
 			// Interrupted mid-flight: re-enqueue from the last
 			// checkpoint. The attempt counter restarts — a crash is not
 			// a job failure and must not consume the retry budget.
+			job.resume = r.resume
 			pending = append(pending, job)
 		}
 		s.jobs[id] = job

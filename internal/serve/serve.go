@@ -442,10 +442,15 @@ func (j *Job) startAttempt() int {
 	return j.attempt
 }
 
+// fail, quarantine and finish end the job. Each releases its
+// checkpoint states: nothing resumes a terminal job, and the journal
+// keeps only its terminal record (compact), so holding them would grow
+// the heap with every finished grade.
 func (j *Job) fail(err error) {
 	j.mu.Lock()
 	j.state = StateFailed
 	j.errMsg = err.Error()
+	j.resume = nil
 	j.mu.Unlock()
 }
 
@@ -453,6 +458,7 @@ func (j *Job) quarantine(err error) {
 	j.mu.Lock()
 	j.state = StateQuarantined
 	j.errMsg = err.Error()
+	j.resume = nil
 	j.mu.Unlock()
 }
 
@@ -461,6 +467,7 @@ func (j *Job) finish(text string) {
 	j.state = StateDone
 	j.result = text
 	j.done = j.total
+	j.resume = nil
 	j.mu.Unlock()
 }
 

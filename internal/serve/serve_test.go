@@ -193,6 +193,9 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 		{`{"kind":"assemble","assemble":{"alg":"nosuch"}}`, http.StatusBadRequest},
 		{`{"kind":"area","area":{"table":9}}`, http.StatusBadRequest},
 		{`{"kind":"grade","unknown_field":1}`, http.StatusBadRequest},
+		// The replay-mode knob is gone; a body still carrying it is an
+		// unknown field.
+		{`{"kind":"grade","grade":{"replay":"interpreted"}}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

@@ -36,7 +36,6 @@ const (
 	DefaultWorkers = 0
 	DefaultEngine  = "auto"
 	DefaultLanes   = "auto"
-	DefaultReplay  = "compiled"
 )
 
 // Spec is the wire/flag form of one coverage workload. The zero value
@@ -65,9 +64,6 @@ type Spec struct {
 	Engine string `json:"engine,omitempty"`
 	// Lanes is the lane-engine batch width: auto, 64, 128, 256 or 512.
 	Lanes string `json:"lanes,omitempty"`
-	// Replay selects the lane engine's stream execution: compiled
-	// (µop kernels) or interpreted (per-op reference path).
-	Replay string `json:"replay,omitempty"`
 	// Timeout is the per-run deadline as a Go duration string ("90s",
 	// "5m"); empty means no deadline. A run that hits its deadline stops
 	// at the last graded fault and reports Partial results.
@@ -91,7 +87,6 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Workers, "workers", DefaultWorkers, "concurrent grading workers (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&s.Engine, "engine", DefaultEngine, "fault-simulation engine: auto (lane-parallel stream replay with scalar fallback) or scalar (one fault at a time)")
 	fs.StringVar(&s.Lanes, "lanes", DefaultLanes, "lane-engine batch width: auto, 64, 128, 256 or 512 logical fault lanes (ignored by -engine scalar; reports are byte-identical at every width)")
-	fs.StringVar(&s.Replay, "replay", DefaultReplay, "lane-engine stream execution: compiled (µop kernels) or interpreted (per-op reference path; reports are byte-identical in both modes)")
 	fs.StringVar(&s.Timeout, "timeout", "", "per-run deadline as a Go duration (e.g. 90s, 5m); empty = none; an expired run reports Partial results (execution policy — excluded from the workload fingerprint)")
 	fs.IntVar(&s.Retries, "retries", 0, "transient-failure retry budget for service jobs: 0 = service default, negative = never retry (execution policy — excluded from the workload fingerprint)")
 }
@@ -160,9 +155,6 @@ func (s Spec) Workload() (*Workload, error) {
 	if s.Lanes == "" {
 		s.Lanes = DefaultLanes
 	}
-	if s.Replay == "" {
-		s.Replay = DefaultReplay
-	}
 	arch, err := ParseArch(s.Arch)
 	if err != nil {
 		return nil, err
@@ -175,15 +167,11 @@ func (s Spec) Workload() (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	replay, err := ParseReplay(s.Replay)
-	if err != nil {
-		return nil, err
-	}
 	w := &Workload{
 		Arch: arch,
 		Opts: coverage.Options{
 			Size: s.Size, Width: s.Width, Ports: s.Ports,
-			Workers: s.Workers, Engine: engine, Lanes: lanes, Replay: replay,
+			Workers: s.Workers, Engine: engine, Lanes: lanes,
 		},
 	}
 	for _, name := range strings.Split(s.Algs, ",") {
@@ -209,8 +197,8 @@ func (w *Workload) Names() []string {
 // exact workload: a readable architecture/geometry/algorithm summary
 // plus a checksum of the per-algorithm coverage fingerprints (which
 // fold in the universe options and each algorithm's march notation) in
-// grading order. Worker count, engine, lanes and replay mode are
-// excluded — verdicts are byte-identical across all four, so state
+// grading order. Worker count, engine and lanes are excluded —
+// verdicts are byte-identical across all three, so state
 // persisted under one configuration resumes under any other.
 func (w *Workload) Fingerprint() string {
 	names := w.Names()
@@ -290,19 +278,6 @@ func ParseLanes(s string) (int, error) {
 		return 512, nil
 	}
 	return 0, fmt.Errorf("unknown lane width %q (want auto, 64, 128, 256 or 512)", s)
-}
-
-// ParseReplay maps a replay-mode name to its coverage constant.
-// "compiled" (or empty) is the default µop-kernel path; "interpreted"
-// pins the per-op reference replay the kernels are validated against.
-func ParseReplay(s string) (coverage.Replay, error) {
-	switch s {
-	case "compiled", "":
-		return coverage.ReplayCompiled, nil
-	case "interpreted":
-		return coverage.ReplayInterpreted, nil
-	}
-	return 0, fmt.Errorf("unknown replay mode %q (want compiled or interpreted)", s)
 }
 
 // Shard is one graded workload slice: shard Shard of Of, with one

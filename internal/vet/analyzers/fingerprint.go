@@ -8,8 +8,8 @@ import (
 	"repro/internal/vet/analysis"
 )
 
-// Fingerprint closes the checkpoint-compatibility loophole the -replay
-// knob exposed: a new field on a workload-options struct silently
+// Fingerprint closes a checkpoint-compatibility loophole of workload
+// knobs: a new field on a workload-options struct silently
 // changes what a run computes without changing the persisted
 // fingerprint, so stale checkpoints and shard files resume under the
 // new semantics (or, inverted, a cosmetic knob gratuitously invalidates

@@ -26,7 +26,7 @@ import (
 //   - append that grows anything but a caller-supplied buffer (the
 //     first append argument must resolve to a parameter, the receiver
 //     or one of their fields — the scratch-reuse pattern ReadLanes and
-//     replayStream use)
+//     CompiledStream.project use)
 //   - interface boxing: a non-pointer-shaped concrete value passed or
 //     converted to an interface
 //
