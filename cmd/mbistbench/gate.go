@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"regexp"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -30,6 +32,7 @@ type Report struct {
 	Generated  string             `json:"generated"`
 	Go         string             `json:"go"`
 	Host       string             `json:"host"`
+	Gomaxprocs int                `json:"gomaxprocs,omitempty"`
 	Benchtime  string             `json:"benchtime"`
 	Benchmarks map[string]Entry   `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups,omitempty"`
@@ -61,10 +64,10 @@ func (r *Report) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadBaseline reads the benchmarks map of a BENCH_*.json in either
-// the schema-versioned format or the PR-1 hand-rolled one — both carry
+// LoadBaseline reads a BENCH_*.json in either the schema-versioned
+// format or the PR-1 hand-rolled one — both carry
 // benchmarks.{name}.ns_per_op, which is all the gate compares.
-func LoadBaseline(path string) (map[string]Entry, error) {
+func LoadBaseline(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -76,7 +79,24 @@ func LoadBaseline(path string) (map[string]Entry, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("baseline %s carries no benchmarks", path)
 	}
-	return rep.Benchmarks, nil
+	return &rep, nil
+}
+
+var hostCPUs = regexp.MustCompile(`(\d+) CPU`)
+
+// Procs returns the GOMAXPROCS the snapshot was measured at: its
+// gomaxprocs field, or for older snapshots the CPU count in its host
+// string ("linux/amd64, 1 CPU"), which was what GOMAXPROCS defaulted
+// to. 0 means unknown.
+func (r *Report) Procs() int {
+	if r.Gomaxprocs > 0 {
+		return r.Gomaxprocs
+	}
+	if m := hostCPUs.FindStringSubmatch(r.Host); m != nil {
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	return 0
 }
 
 // Regression is one benchmark metric that exceeded the tolerated

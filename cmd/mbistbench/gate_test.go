@@ -126,10 +126,10 @@ func TestLoadBaselinePR1Format(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := base["BenchmarkLogicBISTSerial"].NsPerOp; got != 43229462 {
+	if got := base.Benchmarks["BenchmarkLogicBISTSerial"].NsPerOp; got != 43229462 {
 		t.Errorf("serial ns_per_op = %v, want 43229462", got)
 	}
-	if got := base["BenchmarkLogicBISTWordParallel"].AllocsPerOp; got != 425 {
+	if got := base.Benchmarks["BenchmarkLogicBISTWordParallel"].AllocsPerOp; got != 425 {
 		t.Errorf("parallel allocs_per_op = %v, want 425", got)
 	}
 }
@@ -161,8 +161,39 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := back["BenchmarkGradeParallel"]
+	e := back.Benchmarks["BenchmarkGradeParallel"]
 	if e.NsPerOp != 123456 || e.AllocsPerOp != 7 || e.Extra["coverage%"] != 76.14 {
 		t.Errorf("round-tripped entry = %+v", e)
+	}
+}
+
+// TestReportProcs pins how the gate learns the baseline's GOMAXPROCS:
+// the recorded field, else the CPU count of an older snapshot's host
+// string, else unknown.
+func TestReportProcs(t *testing.T) {
+	for _, c := range []struct {
+		rep  Report
+		want int
+	}{
+		{Report{Gomaxprocs: 2, Host: "linux/amd64, 8 CPU"}, 2},
+		{Report{Host: "linux/amd64, 1 CPU"}, 1},
+		{Report{Host: "linux/amd64, 1 CPU (container); parallel Grade speedup requires GOMAXPROCS > 1"}, 1},
+		{Report{}, 0},
+	} {
+		if got := c.rep.Procs(); got != c.want {
+			t.Errorf("%+v: Procs() = %d, want %d", c.rep, got, c.want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "out.json")
+	rep := &Report{Schema: Schema, Gomaxprocs: 3, Benchmarks: map[string]Entry{"BenchmarkGradeLane": {NsPerOp: 1}}}
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Procs() != 3 {
+		t.Errorf("round-tripped gomaxprocs = %d, want 3", back.Procs())
 	}
 }

@@ -14,6 +14,11 @@
 // Exit status is non-zero when any tracked benchmark's ns/op exceeds
 // baseline × tolerance, or when the baseline shares no benchmarks with
 // the suite (a mis-pointed baseline must not silently pass).
+//
+// With a baseline the suite runs at the baseline's GOMAXPROCS, so the
+// gate compares like with like on a host with a different CPU count:
+// the parallel cases size their worker pools by it, and a wider pool
+// allocates more per op.
 package main
 
 import (
@@ -84,11 +89,23 @@ func main() {
 		}
 	}
 
+	var baseline *Report
+	if *baselinePath != "" {
+		var err error
+		if baseline, err = LoadBaseline(*baselinePath); err != nil {
+			log.Fatal(err)
+		}
+		if procs := baseline.Procs(); procs > 0 {
+			runtime.GOMAXPROCS(procs)
+		}
+	}
+
 	report := &Report{
 		Schema:     Schema,
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		Go:         runtime.Version(),
 		Host:       fmt.Sprintf("%s/%s, %d CPU", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
+		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Benchtime:  *benchtime,
 		Benchmarks: make(map[string]Entry),
 	}
@@ -134,23 +151,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 
-	if *baselinePath == "" {
+	if baseline == nil {
 		return
 	}
-	baseline, err := LoadBaseline(*baselinePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	regressions, compared := Gate(report.Benchmarks, baseline, *tolerance)
+	regressions, compared := Gate(report.Benchmarks, baseline.Benchmarks, *tolerance)
 	if len(compared) == 0 {
 		log.Fatalf("baseline %s shares no benchmarks with the tracked suite", *baselinePath)
 	}
-	fmt.Printf("gate: %d benchmark(s) vs %s at tolerance %.2fx\n",
-		len(compared), *baselinePath, *tolerance)
+	fmt.Printf("gate: %d benchmark(s) vs %s at tolerance %.2fx, GOMAXPROCS %d\n",
+		len(compared), *baselinePath, *tolerance, report.Gomaxprocs)
 	for _, name := range compared {
+		base := baseline.Benchmarks[name].NsPerOp
 		fmt.Printf("  %-32s baseline %12.0f ns/op  current %12.0f ns/op  ratio %.2fx\n",
-			name, baseline[name].NsPerOp, report.Benchmarks[name].NsPerOp,
-			report.Benchmarks[name].NsPerOp/baseline[name].NsPerOp)
+			name, base, report.Benchmarks[name].NsPerOp, report.Benchmarks[name].NsPerOp/base)
 	}
 	if len(regressions) > 0 {
 		for _, r := range regressions {

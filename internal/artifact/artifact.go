@@ -74,7 +74,6 @@ type Cache[K comparable, V any] struct {
 
 	mu      sync.Mutex
 	entries map[K]*entry[V]
-	hook    func()
 }
 
 // New returns an empty cache. name scopes the obs counters
@@ -203,19 +202,4 @@ func (c *Cache[K, V]) flushLocked() {
 	}
 	c.entries = kept
 	c.counter(c.nFlush).Add(1)
-	if c.hook != nil {
-		c.hook()
-	}
-}
-
-// SetFlushHook registers f to run after every flush, whether explicit
-// (Flush) or capacity-triggered from Get. Dependent caches use it to
-// drop derived state whose lifetime is bound to this cache's entries
-// (e.g. the coverage arena pool follows the partition plans its
-// batches alias). f runs with the cache lock held: it must be brief
-// and must not call back into this cache.
-func (c *Cache[K, V]) SetFlushHook(f func()) {
-	c.mu.Lock()
-	c.hook = f
-	c.mu.Unlock()
 }

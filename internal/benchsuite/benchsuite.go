@@ -194,8 +194,8 @@ func GradeSharded(b *testing.B) {
 // overhead budget on the batched path (DESIGN.md "Observability").
 // It also asserts the compiled-replay counters: the budget measurement
 // is only meaningful if the metered runs actually compiled the stream
-// and dispatched specialized kernels rather than silently degrading to
-// the general path.
+// and replayed class lanes rather than silently degrading to the
+// scalar oracle.
 func GradeLaneMetricsOn(b *testing.B) {
 	reg := obs.Enable()
 	defer obs.Disable()
@@ -203,8 +203,8 @@ func GradeLaneMetricsOn(b *testing.B) {
 	if reg.Counter("coverage.compiled_streams").Value() == 0 {
 		b.Fatal("metrics-on grade never took the compiled replay path")
 	}
-	if reg.Counter("coverage.fast_kernel_batches").Value() == 0 {
-		b.Fatal("metrics-on grade replayed no batch through a specialized kernel")
+	if reg.Counter("coverage.class_lanes").Value() == 0 {
+		b.Fatal("metrics-on grade replayed no class lane")
 	}
 	// The service durability layer (journal appends, retry/watchdog
 	// bookkeeping) must stay off the grade hot path: a bare grading run

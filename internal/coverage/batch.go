@@ -24,7 +24,9 @@ import (
 // of a faults.LaneInjected is the good machine and logical lanes
 // 1..Lanes-1 each carry one fault; every read compares all lanes
 // against the expected value in parallel and accumulates a per-plane
-// fail mask.
+// fail mask. gradeBatched narrows that replay twice: to the one or two
+// words a fault can touch, and to one lane per class of faults that
+// would replay identically (compile.go).
 
 // captureStream builds the architecture's runner, executes it once over
 // a Recorder-wrapped fault-free memory and returns the captured
@@ -108,182 +110,123 @@ func streamsEqual(a, b []march.StreamOp) bool {
 	return true
 }
 
-// laneScratch is one grading worker's reusable state: the 2-word local
-// arena and projection buffer of support-sliced batches, and the lazily
-// built scalar-retry runner. Local arenas live and die with the worker
-// and never enter the pool below, which holds only the full-geometry
-// arenas of whole-stream batches.
-type laneScratch struct {
-	local *faults.LaneInjected
-	ops   []faults.UOp
+// localScratch is one grading worker's replay state: the 2-word local
+// arena batches replay on and the projection buffer. It outlives the
+// grade in a small pool keyed by geometry (getScratch), because the
+// arena's fault tables and the buffer already hold the capacity the
+// next grade of the same workload needs.
+type localScratch struct {
+	mem *faults.LaneInjected
+	ops []faults.UOp
+}
+
+type scratchKey struct {
+	width, ports, planes int
+}
+
+// batchWorker is one grading worker's state: its scratch and the
+// lazily built scalar-retry runner.
+type batchWorker struct {
+	local *localScratch
 	retry runner
 }
 
-// Arenas are recycled across Grade calls through a bounded free-list
-// keyed by geometry and plane capacity: a warm arena's fault tables
-// already hold the capacity the same workload's batches need, so
-// steady-state grading (benchmark loops, matrix sweeps) re-injects into
-// retained storage instead of allocating. arenaGet further prefers the
-// arena already armed with the requested batch slice — cached partition
-// plans hand out stable slices, so the match lets ResetPlanes skip
-// re-injection entirely (batch-affine reuse). Arenas suspected of panic
-// corruption are never returned.
-//
-// Keys whose free-list empties keep their (empty, capacity-bearing)
-// slice so the steady-state get/put cycle never re-allocates backing
-// arrays; dead keys are swept when the pool reaches its limit, and the
-// whole pool is flushed whenever the universe or partition artifact
-// caches flush: under a heterogeneous job stream (mbistd) dead
-// geometries neither pin map keys nor outlive the plans their batches
-// came from.
-type arenaKey struct {
-	size, width, ports, planes int
-}
-
 var (
-	arenaMu   sync.Mutex
-	arenaPool = map[arenaKey][]*faults.LaneInjected{}
-	arenaN    int
+	scratchMu   sync.Mutex
+	scratchPool = map[scratchKey][]*localScratch{}
+	scratchN    int
 )
 
-const arenaPoolLimit = 32
+// scratchPoolLimit bounds the pooled scratches across all keys.
+const scratchPoolLimit = 32
 
-func init() {
-	universeCache.SetFlushHook(flushArenas)
-	partitionCache.SetFlushHook(flushArenas)
+// getScratch takes a pooled scratch for the geometry, or a fresh one
+// whose arena the first batch builds.
+func getScratch(k scratchKey) *localScratch {
+	scratchMu.Lock()
+	list := scratchPool[k]
+	if n := len(list); n > 0 {
+		s := list[n-1]
+		list[n-1] = nil
+		scratchPool[k] = list[:n-1]
+		scratchN--
+		scratchMu.Unlock()
+		return s
+	}
+	scratchMu.Unlock()
+	return &localScratch{}
 }
 
-func arenaGet(k arenaKey, batch []faults.Fault) *faults.LaneInjected {
-	arenaMu.Lock()
-	defer arenaMu.Unlock()
-	list := arenaPool[k]
-	n := len(list)
-	pick := -1
-	for j := n - 1; j >= 0; j-- {
-		if list[j].SameBatch(batch) {
-			pick = j
-			break
-		}
-	}
-	if pick < 0 {
-		// No arena is armed with this batch. While the pool has headroom
-		// let the caller allocate a fresh arena instead of recycling a
-		// mismatched one: the put after the batch grows the pool toward
-		// one arena per distinct batch, which is what makes every later
-		// get a re-injection-free hit. Only recycle (pay re-injection,
-		// save the allocation) once the pool is at capacity.
-		if arenaN < arenaPoolLimit || n == 0 {
-			return nil
-		}
-		pick = n - 1
-	}
-	m := list[pick]
-	list[pick] = list[n-1]
-	list[n-1] = nil
-	arenaPool[k] = list[:n-1]
-	arenaN--
-	return m
-}
-
-func arenaPut(k arenaKey, m *faults.LaneInjected) {
-	if m == nil {
-		return
-	}
-	arenaMu.Lock()
-	defer arenaMu.Unlock()
-	if arenaN >= arenaPoolLimit {
-		// Full: this arena is dropped anyway; take the chance to evict
-		// keys whose free-lists have drained (dead geometries under a
-		// heterogeneous job stream).
-		for key, list := range arenaPool {
+// putScratch returns a scratch to the pool. Keys whose lists drained
+// keep their (empty) slices so the steady get/put cycle allocates
+// nothing; they are swept when the pool is full.
+func putScratch(k scratchKey, s *localScratch) {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	if scratchN >= scratchPoolLimit {
+		for key, list := range scratchPool {
 			if len(list) == 0 {
-				delete(arenaPool, key)
+				delete(scratchPool, key)
 			}
 		}
 		return
 	}
-	arenaPool[k] = append(arenaPool[k], m)
-	arenaN++
+	scratchPool[k] = append(scratchPool[k], s)
+	scratchN++
 }
 
-// flushArenas empties the pool; registered as the flush hook of the
-// universe and partition caches, whose lifetimes bound the batches the
-// arenas are armed with.
-func flushArenas() {
-	arenaMu.Lock()
-	arenaPool = map[arenaKey][]*faults.LaneInjected{}
-	arenaN = 0
-	arenaMu.Unlock()
-}
-
-// arenaPoolStats reports the pool's key and arena counts (tests).
-func arenaPoolStats() (keys, arenas int) {
-	arenaMu.Lock()
-	defer arenaMu.Unlock()
-	return len(arenaPool), arenaN
-}
-
-// gradeBatched grades the universe by replaying the captured stream,
-// lowered to a compiled µop program, over lane batches of at most
-// opts.Lanes-1 faults: whole-stream batches partitioned by kernel class
-// (buildPartition) or support-sliced batches (buildSlicedPartition),
-// whichever the cost rule picks. Verdicts commit through each batch's
-// universe indices, so the Report — including the Missed ordering — is
-// byte-identical to the scalar oracle at any worker count, lane width
-// or plan: partitioning reorders grading, never the universe-ordered
-// verdict assembly. A panic anywhere in a batch (hook, injector or
-// replay) fails only that batch: each of its faults is retried
-// individually on the scalar oracle and quarantined if it panics
-// again. Cancellation stops the claim loop at the next batch boundary.
+// gradeBatched grades the universe one lane per projection class (see
+// compile.go): each batch replays the compiled stream projected onto
+// one support on a 2-word local arena, and each lane's verdict commits
+// to its class's pending members. Reports — including the Missed
+// ordering — are byte-identical to the scalar oracle at any worker
+// count or lane width: verdicts commit through universe indices, and
+// the report is assembled in universe order. A panic anywhere in a
+// batch (hook, injector or replay) fails only that batch: each of its
+// pending members is retried individually on the scalar oracle and
+// quarantined if it panics again. Cancellation stops the claim loop at
+// the next batch boundary.
 func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	universe := r.universe
-	maxPlanes := r.opts.Lanes / 64
 	reg := obs.Active()
 	cs, err := cachedCompiledStream(r.alg, r.opts, stream)
 	if err != nil {
 		return fmt.Errorf("coverage: %s on %s: verified stream fails µop validation: %w", r.alg.Name, r.arch, err)
 	}
-	// Sliced batches check the good machine only on their own words, so
-	// the whole stream's check, run once when it was compiled, gates
-	// every grade.
+	// Batches check the good machine only on their own words, so the
+	// whole stream's check, run once when it was compiled, gates every
+	// grade.
 	if err := cs.GoodMachineErr(); err != nil {
 		return fmt.Errorf("coverage: %s on %s: %w", r.alg.Name, r.arch, err)
 	}
 	reg.Counter("coverage.compiled_streams").Add(1)
-	plan, sliced := choosePlan(r.alg, r.opts, universe, cs)
-	batches := len(plan)
-	workers := r.opts.Workers
-	if workers > batches {
-		workers = batches
-	}
+	plan := cachedClassPlan(r.alg, r.opts, universe, cs)
+	batches := len(plan.batches)
+	workers := min(r.opts.Workers, batches)
 	reg.Gauge("coverage.workers").Set(int64(workers))
 	reg.Gauge("coverage.lane_width").Set(int64(r.opts.Lanes))
 	mBatches := reg.Counter("coverage.batches_replayed")
-	mFastKernels := reg.Counter("coverage.fast_kernel_batches")
 	mLanes := reg.Span("coverage.batch_lanes")
 	mBatch := reg.Span("coverage.batch_ns")
 	mFaults := reg.Counter("coverage.faults_graded")
-	mSliced := reg.Counter("coverage.sliced_batches")
+	mClassLanes := reg.Counter("coverage.class_lanes")
+	skey := scratchKey{width: r.opts.Width, ports: r.opts.Ports, planes: r.opts.Lanes / 64}
 
-	pendingIn := func(bt *laneBatch) int {
+	pendingIn := func(b *classBatch) int {
 		pending := 0
-		for _, ui := range bt.idx {
-			if !r.resumed[ui] {
+		for _, i := range plan.membersOf(b) {
+			if !r.resumed[i] {
 				pending++
 			}
 		}
 		return pending
 	}
 
-	akey := arenaKey{size: r.opts.Size, width: r.opts.Width, ports: r.opts.Ports, planes: maxPlanes}
-
-	// gradeOne replays one batch; a panic escapes as a *PanicError for
-	// the caller's scalar retry. Whole-stream arenas are fetched
-	// batch-affine from the pool and returned unless the batch panicked
-	// (the arena may be mid-mutation); sliced batches use the worker's
-	// local arena, dropped on a panic for the same reason.
-	gradeOne := func(b int, sc *laneScratch) error {
-		bt := &plan[b]
+	// gradeOne replays one batch on the worker's scratch; a panic
+	// escapes as a *PanicError for the caller's scalar retry, and drops
+	// the scratch's arena, which may be mid-mutation.
+	gradeOne := func(b int, sc *localScratch) error {
+		bt := &plan.batches[b]
 		pending := pendingIn(bt)
 		if pending == 0 {
 			// Fully settled by the resumed checkpoint: nothing to replay.
@@ -291,54 +234,33 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		}
 		t0 := mBatch.Start()
 		var fail [faults.MaxPlanes]uint64
-		var kern faults.Kernel
-		var mem *faults.LaneInjected
 		var rerr error
 		perr := resilience.Capture(func() {
 			if r.opts.FaultHook != nil {
-				for _, ui := range bt.idx {
-					if !r.resumed[ui] {
-						r.opts.FaultHook(int(ui))
+				for _, i := range plan.membersOf(bt) {
+					if !r.resumed[i] {
+						r.opts.FaultHook(int(i))
 					}
 				}
 			}
-			if sliced {
-				if sc.local == nil {
-					sc.local = faults.NewLaneInjectedPlanes(2, r.opts.Width, r.opts.Ports, maxPlanes, nil)
-				}
-				mem = sc.local
-				mem.ResetPlanes(bt.faults, bt.planes)
-				kern, sc.ops, rerr = mem.ReplayProjected(cs, bt.words, sc.ops, &fail)
-				return
+			if sc.mem == nil {
+				sc.mem = faults.NewLaneInjectedPlanes(2, skey.width, skey.ports, skey.planes, nil)
 			}
-			mem = arenaGet(akey, bt.faults)
-			if mem == nil {
-				mem = faults.NewLaneInjectedPlanes(r.opts.Size, r.opts.Width, r.opts.Ports, maxPlanes, nil)
-			}
-			mem.ResetPlanes(bt.faults, bt.planes)
-			kern, rerr = mem.Replay(cs, &fail)
+			sc.mem.ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
+			_, sc.ops, rerr = sc.mem.ReplayProjected(cs, bt.words[:bt.n], sc.ops, &fail)
 		})
 		if perr != nil {
-			if sliced {
-				sc.local = nil // may be mid-mutation
-			}
+			sc.mem = nil
 			return perr
 		}
-		if sliced {
-			mSliced.Add(1)
-		} else {
-			arenaPut(akey, mem)
-		}
 		if rerr != nil {
-			return fmt.Errorf("coverage: batch %d (%d faults): %w", b, len(bt.faults), rerr)
+			return fmt.Errorf("coverage: batch %d (%d classes): %w", b, bt.hi-bt.lo, rerr)
 		}
-		r.commitBatch(bt.idx, &fail)
+		r.commitClasses(plan, bt, &fail)
 		mBatch.ObserveSince(t0)
 		mBatches.Add(1)
-		if kern != faults.KernelGeneral {
-			mFastKernels.Add(1)
-		}
-		mLanes.Observe(int64(len(bt.faults)))
+		mLanes.Observe(int64(bt.hi - bt.lo))
+		mClassLanes.Add(int64(bt.hi - bt.lo))
 		mFaults.Add(int64(pending))
 		return nil
 	}
@@ -352,8 +274,8 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	// up first), so the scalar attempt may be the fault's first — the
 	// quarantine contract is two panics on the fault itself, matching
 	// scalarWorker.
-	runBatch := func(sc *laneScratch, b int) error {
-		err := gradeOne(b, sc)
+	runBatch := func(sc *batchWorker, b int) error {
+		err := gradeOne(b, sc.local)
 		if err == nil {
 			return nil
 		}
@@ -365,7 +287,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 			sc.retry, err = buildRunnerFresh(r.alg, r.arch, r.opts)
 			return err
 		}
-		for _, ui := range plan[b].idx {
+		for _, ui := range plan.membersOf(&plan.batches[b]) {
 			i := int(ui)
 			if r.resumed[i] {
 				continue
@@ -404,12 +326,13 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	}
 
 	if workers <= 1 {
-		var sc laneScratch
+		w := batchWorker{local: getScratch(skey)}
+		defer putScratch(skey, w.local)
 		for b := 0; b < batches; b++ {
 			if r.ctx.Err() != nil {
 				return nil
 			}
-			if err := runBatch(&sc, b); err != nil {
+			if err := runBatch(&w, b); err != nil {
 				return err
 			}
 		}
@@ -428,13 +351,14 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc laneScratch
+			w := batchWorker{local: getScratch(skey)}
+			defer putScratch(skey, w.local)
 			for {
 				b := int(cursor.Add(1)) - 1
 				if b >= batches || failed.Load() || r.ctx.Err() != nil {
 					return
 				}
-				if err := runBatch(&sc, b); err != nil {
+				if err := runBatch(&w, b); err != nil {
 					emu.Lock()
 					if b < errBatch {
 						errBatch, firstErr = b, err

@@ -75,9 +75,9 @@ func TestBatchedEngineMatchesScalarOracleWordMultiport(t *testing.T) {
 // TestBatchedEngineEngaged pins that the default Grade path actually
 // replays lane batches (rather than silently falling back) for the
 // canonical microcode configuration, that batch occupancy respects the
-// configured lane width, and that the lane_width gauge reports it.
+// configured lane width, that every fault's verdict comes from one of
+// the replayed class lanes, and that the lane_width gauge reports it.
 func TestBatchedEngineEngaged(t *testing.T) {
-	defer forcePlan(planWhole)()
 	for _, lanes := range []int{0, 64, 128, 256, 512} {
 		reg := obs.Enable()
 		alg, _ := march.ByName("marchc")
@@ -104,8 +104,9 @@ func TestBatchedEngineEngaged(t *testing.T) {
 		if count != batches {
 			t.Errorf("lanes=%d: batch_lanes count %d, batches %d", lanes, count, batches)
 		}
-		if int(sum) != rep.Overall.Total {
-			t.Errorf("lanes=%d: lane occupancy sum %d, universe size %d", lanes, sum, rep.Overall.Total)
+		classes := reg.Counter("coverage.class_lanes").Value()
+		if sum != classes || classes == 0 || int(classes) > rep.Overall.Total {
+			t.Errorf("lanes=%d: lane occupancy sum %d, class lanes %d, universe size %d", lanes, sum, classes, rep.Overall.Total)
 		}
 		if int(max) > want-1 {
 			t.Errorf("lanes=%d: batch occupancy %d exceeds %d fault lanes", lanes, max, want-1)
@@ -115,13 +116,6 @@ func TestBatchedEngineEngaged(t *testing.T) {
 		}
 		if cs := reg.Counter("coverage.compiled_streams").Value(); cs == 0 {
 			t.Errorf("lanes=%d: stream was not compiled to µops", lanes)
-		}
-		// Kind-partitioned batches are capability-pure, so every batch
-		// must dispatch to a specialized kernel — the general catch-all
-		// engaging here would mean the partitioner mixed mechanism
-		// classes.
-		if fast := reg.Counter("coverage.fast_kernel_batches").Value(); fast != batches {
-			t.Errorf("lanes=%d: %d/%d batches took a specialized kernel", lanes, fast, batches)
 		}
 		obs.Disable()
 	}

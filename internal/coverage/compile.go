@@ -1,7 +1,6 @@
 package coverage
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/artifact"
@@ -9,23 +8,25 @@ import (
 	"repro/internal/march"
 )
 
-// Stream compilation and batch planning for the lane engine.
+// Stream compilation and class planning for the lane engine.
 //
 // The stream is lowered once per (algorithm, geometry) into a
 // validated faults.CompiledStream (bounds proven at compile time, cell
-// indices pre-resolved, a per-word µop index built), and the universe
-// is packed into one of two batch plans:
+// indices pre-resolved, a per-word µop index built). The universe is
+// then graded by projection class: two faults are in one class when
+// their supports (the one or two words each can touch) project the
+// stream to the same µop sequence and their localised forms are equal.
+// ReplayProjected's verdict for a lane depends on nothing else, so one
+// lane per class decides every member.
 //
-//   - whole-stream: batches partitioned by fault-mechanism class, each
-//     replaying the whole stream on a full-size memory through the
-//     specialised kernel its class admits (see faults.Kernel);
-//   - support-sliced: batches of faults sharing one support (the one or
-//     two words they can touch), each replaying only the µops of those
-//     words on a 1–2-word local memory (faults.ReplayProjected).
+// The plan is built as two cached artifacts:
 //
-// The cost rule (slicedCheaper) picks one plan per grade. All three
-// artifacts are deterministic per workload and content-addressed in the
-// artifact cache next to the streams and universes they derive from.
+//   - a partition per universe, independent of the stream: each fault's
+//     support group, and its localised form interned to a small ID
+//     (buildPartition);
+//   - a class plan per compiled stream: a projection ID per support
+//     group, the classes with their member lists, and the batches that
+//     pack one lane per class (buildClassPlan).
 
 // compiledKey content-addresses a compiled stream. The architecture is
 // deliberately absent: the batched engine only runs streams verified
@@ -41,13 +42,13 @@ var compiledCache = artifact.New[compiledKey, *faults.CompiledStream]("uops", 0)
 // cachedCompiledStream lowers a verified captured stream to µops,
 // memoised on the workload key.
 func cachedCompiledStream(alg march.Algorithm, opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
-	key := compiledKey{
-		algFP: march.Fingerprint(alg),
-		size:  opts.Size, width: opts.Width, ports: opts.Ports,
-	}
-	return compiledCache.Get(key, func() (*faults.CompiledStream, error) {
+	return compiledCache.Get(streamKeyOf(alg, opts), func() (*faults.CompiledStream, error) {
 		return compileStream(opts, stream)
 	})
+}
+
+func streamKeyOf(alg march.Algorithm, opts Options) compiledKey {
+	return compiledKey{algFP: march.Fingerprint(alg), size: opts.Size, width: opts.Width, ports: opts.Ports}
 }
 
 // compileStream lowers march.StreamOps into the flat µop form:
@@ -76,238 +77,233 @@ func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStrea
 	return faults.NewCompiledStream(opts.Size, opts.Width, opts.Ports, uops)
 }
 
-// laneBatch is one planned batch of a partitioned universe: the packed
-// fault slice (logical lane k carries faults[k-1]), each fault's
-// universe index for verdict commitment, and the active plane count the
-// batch needs (small batches replay proportionally fewer planes). A
-// support-sliced batch also names its support words; its faults are in
-// the local coordinates of a memory whose address k is words[k].
-type laneBatch struct {
-	faults []faults.Fault
-	idx    []int32
-	planes int
-	words  []int32
+// supportGroup is one support of a partition: words[:n], ascending.
+type supportGroup struct {
+	words [2]int32
+	n     int32
 }
 
-// kernelClass partitions fault kinds by the replay capability they
-// demand; batches drawn from one class select that class's specialized
-// kernel (faults.Kernel). CFst is split from CFin/CFid so that
-// trigger-only coupling batches skip dirty tracking entirely.
-func kernelClass(k faults.Kind) int {
-	switch k {
-	case faults.SOF, faults.RDF, faults.DRDF:
-		return 1 // read-path state → KernelLatch
-	case faults.CFin, faults.CFid:
-		return 2 // triggers only → KernelCoupling (hasCFst=false)
-	case faults.CFst:
-		return 3 // triggers + state re-application → KernelCoupling
-	case faults.AFNone, faults.AFMap, faults.AFMulti:
-		return 4 // decoder faults → KernelAF
-	default:
-		return 0 // SA/TF/WDF/IRF/DRF pure masks → KernelMask
-	}
+// partition is the universe grouped by support: universe fault i lies
+// in groups[group[i]], and loc[i] is the interned ID of its localised
+// form, local[loc[i]]. Groups are numbered in order of first
+// appearance in the universe.
+type partition struct {
+	group  []int32
+	loc    []int32
+	groups []supportGroup
+	local  []faults.Fault
 }
 
-const numClasses = 5
+var partitionCache = artifact.New[universeKey, *partition]("partition", 0)
 
-// partitionKey content-addresses a batch plan: the universe key, the
-// lane width that bounds batch capacity and the plan kind.
-type partitionKey struct {
-	size, width int
-	uopts       faults.UniverseOpts
-	lanes       int
-	sliced      bool
-}
-
-var partitionCache = artifact.New[partitionKey, []laneBatch]("partition", 0)
-
-// cachedPartition returns the whole-stream or support-sliced batch plan
-// for a workload, memoised on the universe key + lane width + kind.
-// Cached plans are shared and immutable; crucially, whole-stream plans'
-// fault slices are *stable*, so an arena that already replayed a batch
-// recognises the identical slice on the next Grade call and skips
-// re-injection (faults.LaneInjected.ResetPlanes).
-func cachedPartition(opts Options, universe []faults.Fault, sliced bool) []laneBatch {
-	key := partitionKey{size: opts.Size, width: opts.Width, uopts: opts.Universe, lanes: opts.Lanes, sliced: sliced}
-	plan, _ := partitionCache.Get(key, func() ([]laneBatch, error) {
-		if sliced {
-			return buildSlicedPartition(universe, opts.Width, opts.Lanes/64), nil
-		}
-		return buildPartition(universe, opts.Lanes/64), nil
+func cachedPartition(opts Options, universe []faults.Fault) *partition {
+	key := universeKey{size: opts.Size, width: opts.Width, opts: opts.Universe}
+	p, _ := partitionCache.Get(key, func() (*partition, error) {
+		return buildPartition(universe, opts.Width), nil
 	})
-	return plan
+	return p
 }
 
-// slicedBatchCost is the fixed cost of one support-sliced batch in
-// µop-equivalents: resetting and injecting the local arena, projecting
-// the stream and committing verdicts. Measured on a 2-CPU linux/amd64
-// VM, one worker, microcode, each library algorithm timed under both
-// plans: bit-oriented 8- and 16-word memories (one or two ports) graded
-// 0.2–0.9× as fast sliced, and the constant at which the rule would
-// flip to sliced there was at most 57 (March C++, 8×1 and 16×1 on two
-// ports). At 64×1 and on 2- and 4-bit words sliced replay was mostly
-// 1.5–3× faster, with flip points from 15 to 330; at 256×4, 15× faster
-// with flip points near 1,000. 64 keeps every 8- and 16-word
-// bit-oriented grade on whole-stream replay.
-const slicedBatchCost = 64
-
-// slicedCheaper is the cost rule choosing a grade's plan: the µops a
-// support-sliced plan replays (each batch's projection plus
-// slicedBatchCost) against those of the whole-stream plan (its batch
-// count times the stream length). Early exits are ignored on both
-// sides.
-func slicedCheaper(cs *faults.CompiledStream, universe []faults.Fault, width, maxPlanes int) bool {
-	capacity := faults.BatchLimit(maxPlanes)
-	var byClass [numClasses]int
-	for _, f := range universe {
-		byClass[kernelClass(f.Kind)]++
-	}
-	whole := 0
-	for _, n := range byClass {
-		whole += (n + capacity - 1) / capacity
-	}
-	wholeCost := whole * cs.Len()
-	slicedCost := 0
-	for _, g := range supportGroups(universe, width) {
-		batches := (len(g.idx) + capacity - 1) / capacity
-		slicedCost += batches * (cs.ProjectedLen(g.words[:g.n]) + slicedBatchCost)
-		if slicedCost >= wholeCost {
-			return false
+// buildPartition groups the universe by support and interns every
+// localised fault, in one pass in universe order. The universe lists
+// the faults of one cell or coupling pair together, so the group map
+// is only consulted when the support changes.
+func buildPartition(universe []faults.Fault, width int) *partition {
+	p := &partition{group: make([]int32, len(universe)), loc: make([]int32, len(universe))}
+	groupOf := map[supportGroup]int32{}
+	ids := map[faults.Fault]int32{}
+	var last supportGroup
+	g := int32(-1)
+	for i, f := range universe {
+		words, k := faults.Support(f, width)
+		if sg := (supportGroup{words: words, n: int32(k)}); sg != last {
+			var seen bool
+			if g, seen = groupOf[sg]; !seen {
+				g = int32(len(p.groups))
+				groupOf[sg] = g
+				p.groups = append(p.groups, sg)
+			}
+			last = sg
 		}
+		p.group[i] = g
+		lf := faults.Localize(f, width, words[:k])
+		id, seen := ids[lf]
+		if !seen {
+			id = int32(len(p.local))
+			p.local = append(p.local, lf)
+			ids[lf] = id
+		}
+		p.loc[i] = id
 	}
-	return true
+	return p
 }
 
-// planKey content-addresses a plan choice: the compiled stream and the
-// partition it is weighed against.
+// countingSort returns 0..len(key)-1 stably sorted by key, whose
+// values lie in [0, buckets).
+func countingSort(key []int32, buckets int) []int32 {
+	count := make([]int32, buckets+1)
+	for _, k := range key {
+		count[k+1]++
+	}
+	for b := 0; b < buckets; b++ {
+		count[b+1] += count[b]
+	}
+	dst := make([]int32, len(key))
+	for i, k := range key {
+		dst[count[k]] = int32(i)
+		count[k]++
+	}
+	return dst
+}
+
+// classPlan is a universe's projection classes under one compiled
+// stream. Class c replays faults[c] on one lane; its verdict belongs
+// to the universe indices members[memberStart[c]:memberStart[c+1]].
+// Classes sharing a projection are numbered consecutively, and each
+// batch packs a run of them, so one batch replays one projection.
+type classPlan struct {
+	faults      []faults.Fault
+	memberStart []int32
+	members     []int32
+	batches     []classBatch
+}
+
+// classBatch grades classes [lo, hi) on the stream projected onto
+// words[:n]; class lo+k rides logical lane k+1, and the batch replays
+// planes bit-planes.
+type classBatch struct {
+	lo, hi int32
+	words  [2]int32
+	n      int32
+	planes int32
+}
+
+// membersOf returns the universe indices of batch b's class members.
+func (p *classPlan) membersOf(b *classBatch) []int32 {
+	return p.members[p.memberStart[b.lo]:p.memberStart[b.hi]]
+}
+
+// planKey content-addresses a class plan: the compiled stream, the
+// universe it partitions and the lane width bounding batch capacity.
+// The stream key carries the algorithm, so two algorithms on one
+// geometry never share classes.
 type planKey struct {
 	stream compiledKey
 	uopts  faults.UniverseOpts
 	lanes  int
 }
 
-var planCache = artifact.New[planKey, bool]("plan", 0)
+var planCache = artifact.New[planKey, *classPlan]("plan", 0)
 
-// planOverride is a test seam: planAuto applies the cost rule, the
-// others force one plan so small-geometry tests can pin both.
-var planOverride = planAuto
+func cachedClassPlan(alg march.Algorithm, opts Options, universe []faults.Fault, cs *faults.CompiledStream) *classPlan {
+	key := planKey{stream: streamKeyOf(alg, opts), uopts: opts.Universe, lanes: opts.Lanes}
+	plan, _ := planCache.Get(key, func() (*classPlan, error) {
+		return buildClassPlan(cachedPartition(opts, universe), cs, opts.Lanes/64), nil
+	})
+	return plan
+}
 
-const (
-	planAuto = iota
-	planSliced
-	planWhole
-)
-
-// choosePlan returns the batch plan a grade replays and whether it is
-// support-sliced. Only the chosen plan is built; the choice itself is
-// cached per stream and partition.
-func choosePlan(alg march.Algorithm, opts Options, universe []faults.Fault, cs *faults.CompiledStream) ([]laneBatch, bool) {
-	var sliced bool
-	switch planOverride {
-	case planSliced:
-		sliced = true
-	case planWhole:
-	default:
-		key := planKey{
-			stream: compiledKey{algFP: march.Fingerprint(alg), size: opts.Size, width: opts.Width, ports: opts.Ports},
-			uopts:  opts.Universe, lanes: opts.Lanes,
+// buildClassPlan classes a partition under a compiled stream. Each
+// support group's projection is compared µop by µop with the distinct
+// projections seen so far (hash first); classes are then numbered
+// projection by projection, in universe order, and split into batches
+// of at most BatchLimit(maxPlanes) lanes. A class's members are in
+// universe order.
+func buildClassPlan(p *partition, cs *faults.CompiledStream, maxPlanes int) *classPlan {
+	proj := make([]int32, len(p.groups))
+	var (
+		seqs     []faults.UOp
+		seqStart = []int32{0}
+		rep      []int32 // a group of each projection
+		byHash   = map[uint64][]int32{}
+		buf      []faults.UOp
+	)
+	for g, sg := range p.groups {
+		buf = cs.Project(sg.words[:sg.n], buf[:0])
+		h := hashUOps(buf)
+		id := int32(-1)
+		for _, c := range byHash[h] {
+			if slices.Equal(seqs[seqStart[c]:seqStart[c+1]], buf) {
+				id = c
+				break
+			}
 		}
-		sliced, _ = planCache.Get(key, func() (bool, error) {
-			return slicedCheaper(cs, universe, opts.Width, opts.Lanes/64), nil
+		if id < 0 {
+			id = int32(len(rep))
+			seqs = append(seqs, buf...)
+			seqStart = append(seqStart, int32(len(seqs)))
+			rep = append(rep, int32(g))
+			byHash[h] = append(byHash[h], id)
+		}
+		proj[g] = id
+	}
+
+	// Number classes projection by projection: visit the universe
+	// sorted by projection; stamp[l] is the last projection local fault
+	// l was seen under, cls[l] its class there.
+	faultProj := make([]int32, len(p.group))
+	for i, g := range p.group {
+		faultProj[i] = proj[g]
+	}
+	stamp := make([]int32, len(p.local))
+	cls := make([]int32, len(p.local))
+	for l := range stamp {
+		stamp[l] = -1
+	}
+	classOf := faultProj // reused: each entry is read before it is overwritten
+	var classLoc, classProj, count []int32
+	for _, i := range countingSort(faultProj, len(rep)) {
+		pj, l := faultProj[i], p.loc[i]
+		if stamp[l] != pj {
+			stamp[l], cls[l] = pj, int32(len(classLoc))
+			classLoc = append(classLoc, l)
+			classProj = append(classProj, pj)
+			count = append(count, 0)
+		}
+		classOf[i] = cls[l]
+		count[cls[l]]++
+	}
+
+	plan := &classPlan{
+		faults:      make([]faults.Fault, len(classLoc)),
+		memberStart: make([]int32, len(classLoc)+1),
+		members:     make([]int32, len(p.group)),
+	}
+	for c, l := range classLoc {
+		plan.faults[c] = p.local[l]
+		plan.memberStart[c+1] = plan.memberStart[c] + count[c]
+	}
+	fill := count // dead once the member offsets are summed
+	copy(fill, plan.memberStart)
+	for i, c := range classOf {
+		plan.members[fill[c]] = int32(i)
+		fill[c]++
+	}
+
+	capacity := int32(faults.BatchLimit(maxPlanes))
+	for lo := int32(0); lo < int32(len(classLoc)); {
+		pj := classProj[lo]
+		hi := lo + 1
+		for hi < int32(len(classLoc)) && hi-lo < capacity && classProj[hi] == pj {
+			hi++
+		}
+		g := p.groups[rep[pj]]
+		plan.batches = append(plan.batches, classBatch{
+			lo: lo, hi: hi, words: g.words, n: g.n,
+			// Lanes 1..hi-lo are occupied; lane 0 is the good machine.
+			planes: min((hi-lo+64)/64, int32(maxPlanes)),
 		})
+		lo = hi
 	}
-	return cachedPartition(opts, universe, sliced), sliced
+	return plan
 }
 
-// supportGroup is the universe faults sharing one support: words[:n]
-// in ascending order, idx the faults' universe indices in universe
-// order.
-type supportGroup struct {
-	words [2]int32
-	n     int
-	idx   []int32
-}
-
-// supportGroups groups the universe by fault support, in ascending
-// support order.
-func supportGroups(universe []faults.Fault, width int) []supportGroup {
-	keys := make([]uint64, len(universe))
-	order := make([]int32, len(universe))
-	for i, f := range universe {
-		w, n := faults.Support(f, width)
-		keys[i] = uint64(w[0])<<32 | uint64(w[n-1])
-		order[i] = int32(i)
+// hashUOps is FNV-1a over the fields replay reads, two words per µop.
+func hashUOps(ops []faults.UOp) uint64 {
+	h := uint64(14695981039346656037)
+	for _, op := range ops {
+		h = (h ^ op.Data) * 1099511628211
+		h = (h ^ (uint64(uint32(op.Addr)) | uint64(op.Kind)<<32 | uint64(op.Port)<<40)) * 1099511628211
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
-	var groups []supportGroup
-	for start := 0; start < len(order); {
-		end := start + 1
-		for end < len(order) && keys[order[end]] == keys[order[start]] {
-			end++
-		}
-		w, n := faults.Support(universe[order[start]], width)
-		groups = append(groups, supportGroup{words: w, n: n, idx: order[start:end:end]})
-		start = end
-	}
-	return groups
-}
-
-// buildSlicedPartition packs the universe into support-sliced batches:
-// each support group split into batches of at most BatchLimit(maxPlanes)
-// faults, localised onto the group's words.
-func buildSlicedPartition(universe []faults.Fault, width, maxPlanes int) []laneBatch {
-	groups := supportGroups(universe, width)
-	capacity := faults.BatchLimit(maxPlanes)
-	packed := make([]faults.Fault, 0, len(universe))
-	words := make([]int32, 0, 2*len(groups))
-	var batches []laneBatch
-	for _, g := range groups {
-		words = append(words, g.words[:g.n]...)
-		gw := words[len(words)-g.n : len(words) : len(words)]
-		for start := 0; start < len(g.idx); start += capacity {
-			chunk := g.idx[start:min(start+capacity, len(g.idx))]
-			first := len(packed)
-			for _, ui := range chunk {
-				packed = append(packed, faults.Localize(universe[ui], width, gw))
-			}
-			batches = append(batches, laneBatch{
-				faults: packed[first:len(packed):len(packed)],
-				idx:    chunk,
-				planes: min((len(chunk)+64)/64, maxPlanes),
-				words:  gw,
-			})
-		}
-	}
-	return batches
-}
-
-// buildPartition packs the universe into kind-partitioned batches of at
-// most BatchLimit(maxPlanes) faults. Within a class, universe order is
-// preserved; classes are emitted in fixed order, so the plan — like
-// everything else about grading — is deterministic. Verdicts commit
-// through each batch's idx slice in universe order regardless of how
-// partitioning reordered the grading itself.
-func buildPartition(universe []faults.Fault, maxPlanes int) []laneBatch {
-	var classes [numClasses][]int32
-	for i, f := range universe {
-		c := kernelClass(f.Kind)
-		classes[c] = append(classes[c], int32(i))
-	}
-	batchCap := faults.BatchLimit(maxPlanes)
-	var batches []laneBatch
-	for _, idxs := range classes {
-		for start := 0; start < len(idxs); start += batchCap {
-			end := min(start+batchCap, len(idxs))
-			chunk := idxs[start:end]
-			packed := make([]faults.Fault, len(chunk))
-			for j, ui := range chunk {
-				packed[j] = universe[ui]
-			}
-			// A batch of n faults occupies logical lanes 1..n and only
-			// needs ceil((n+1)/64) planes' worth of mask and cell traffic.
-			planes := min((len(chunk)+64)/64, maxPlanes)
-			batches = append(batches, laneBatch{faults: packed, idx: chunk, planes: planes})
-		}
-	}
-	return batches
+	return h
 }

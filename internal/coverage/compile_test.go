@@ -48,11 +48,11 @@ func TestCompiledReplayMatchesScalar(t *testing.T) {
 
 // TestCompiledReplayResumeQuarantine extends the equivalence property
 // through the resilience machinery: with always-panicking faults
-// spanning several partition batches (quarantine path) and a mid-run
-// checkpoint that a second run resumes from, the scalar oracle and
-// both replay plans must converge on byte-identical reports —
-// including resuming a checkpoint written by another engine or plan,
-// since State is engine-agnostic.
+// spanning several batches (quarantine path) and a mid-run checkpoint
+// that a second run resumes from, the scalar oracle and class grading
+// must converge on byte-identical reports — including resuming a
+// checkpoint written by the other engine, since State is
+// engine-agnostic.
 func TestCompiledReplayResumeQuarantine(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	targets := map[int]bool{3: true, 63: true, 64: true, 127: true}
@@ -64,15 +64,9 @@ func TestCompiledReplayResumeQuarantine(t *testing.T) {
 	type variant struct {
 		name   string
 		engine Engine
-		plan   int
 	}
-	variants := []variant{
-		{"scalar", EngineScalar, planAuto},
-		{"whole-stream", EngineAuto, planWhole},
-		{"sliced", EngineAuto, planSliced},
-	}
+	variants := []variant{{"scalar", EngineScalar}, {"class", EngineAuto}}
 	run := func(v variant, resume *State) (*Report, *State) {
-		defer forcePlan(v.plan)()
 		var first *State
 		opts := Options{
 			Size: 16, Workers: 1, Engine: v.engine,
@@ -127,7 +121,7 @@ func TestScalarEnginePinsNoCompile(t *testing.T) {
 	if _, err := Grade(alg, Microcode, Options{Size: 8, Engine: EngineScalar}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"coverage.compiled_streams", "coverage.batches_replayed", "coverage.fast_kernel_batches", "coverage.sliced_batches"} {
+	for _, name := range []string{"coverage.compiled_streams", "coverage.batches_replayed", "coverage.class_lanes"} {
 		if n := reg.Counter(name).Value(); n != 0 {
 			t.Errorf("scalar engine: %s = %d, want 0", name, n)
 		}
@@ -137,37 +131,5 @@ func TestScalarEnginePinsNoCompile(t *testing.T) {
 	}
 	if n := reg.Counter("coverage.panic_retries").Value(); n != 0 {
 		t.Errorf("clean scalar grade took %d panic retries, want 0", n)
-	}
-}
-
-// TestArenaPoolEviction pins the pool hygiene contract: the pool grows
-// toward one arena per distinct batch while under its limit, reuses
-// them batch-affine across repeated grades, and is emptied whole when
-// the partition artifact cache flushes (its plans own the batch slices
-// the arenas are armed with).
-func TestArenaPoolEviction(t *testing.T) {
-	flushArenas()
-	partitionCache.Flush()
-	alg, _ := march.ByName("marchc")
-	if _, err := Grade(alg, Microcode, Options{Size: 16, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	keys, arenas := arenaPoolStats()
-	if keys == 0 || arenas == 0 {
-		t.Fatalf("pool empty after a batched grade (keys=%d arenas=%d)", keys, arenas)
-	}
-	if _, err := Grade(alg, Microcode, Options{Size: 16, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if k2, a2 := arenaPoolStats(); k2 != keys || a2 != arenas {
-		t.Errorf("repeat grade grew the pool: keys %d->%d arenas %d->%d", keys, k2, arenas, a2)
-	}
-	partitionCache.Flush()
-	if k, a := arenaPoolStats(); k != 0 || a != 0 {
-		t.Errorf("pool not emptied by partition cache flush: keys=%d arenas=%d", k, a)
-	}
-	universeCache.Flush()
-	if k, a := arenaPoolStats(); k != 0 || a != 0 {
-		t.Errorf("pool not emptied by universe cache flush: keys=%d arenas=%d", k, a)
 	}
 }

@@ -94,30 +94,30 @@ func (r *gradeRun) record(i int, detected bool) {
 	r.mu.Unlock()
 }
 
-// commitBatch commits a lane batch's verdicts in one critical section:
-// idx[k] is the universe index of the fault on logical lane k+1 (plane
-// (k+1)/64, bit (k+1)%64 of the fail masks) — batches are
-// kind-partitioned, so lanes map to arbitrary universe indices while
-// the verdict arrays stay universe-ordered. Faults already settled by
-// a resumed checkpoint keep their prior verdict (the replay result is
-// identical anyway — verdicts are deterministic — but the resumed
-// state stays authoritative).
+// commitClasses commits a class batch's verdicts in one critical
+// section: class b.lo+k rode logical lane k+1 (plane (k+1)/64, bit
+// (k+1)%64 of the fail masks), and its verdict settles every member of
+// the class. Faults already settled by a resumed checkpoint keep their
+// prior verdict (the replay result is identical anyway — verdicts are
+// deterministic — but the resumed state stays authoritative).
 //
 //mbist:hotpath
-func (r *gradeRun) commitBatch(idx []int32, fail *[faults.MaxPlanes]uint64) {
+func (r *gradeRun) commitClasses(plan *classPlan, b *classBatch, fail *[faults.MaxPlanes]uint64) {
 	r.mu.Lock()
 	n := 0
-	for k, ui := range idx {
-		i := int(ui)
-		if r.resumed[i] {
-			continue
+	for c := b.lo; c < b.hi; c++ {
+		l := c - b.lo + 1
+		d := fail[l>>6]>>uint(l&63)&1 == 1
+		for _, ui := range plan.members[plan.memberStart[c]:plan.memberStart[c+1]] {
+			if r.resumed[ui] {
+				continue
+			}
+			r.graded[ui] = true
+			r.detected[ui] = d
+			n++
 		}
-		l := k + 1
-		r.graded[i] = true
-		r.detected[i] = fail[l>>6]>>uint(l&63)&1 == 1
-		r.gradedCount++
-		n++
 	}
+	r.gradedCount += n
 	r.maybeCheckpointLocked(n)
 	r.mu.Unlock()
 }

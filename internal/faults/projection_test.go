@@ -124,7 +124,7 @@ func TestUOpSenseMatchesReadLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj := cs.project([]int32{0}, nil)
+	proj := cs.Project([]int32{0}, nil)
 	if len(proj) != 3 || proj[1].Kind != UOpSense || proj[1].Data != 0b11 {
 		t.Fatalf("projection onto word 0 = %+v, want write, sense 0b11, read", proj)
 	}

@@ -263,18 +263,7 @@ func (cs *CompiledStream) Len() int { return len(cs.ops) }
 // that replays projections must check this first.
 func (cs *CompiledStream) GoodMachineErr() error { return cs.goodErr }
 
-// ProjectedLen returns the µop count of the stream projected onto
-// words (see ReplayProjected), not counting the UOpSense µops the
-// projection inserts.
-func (cs *CompiledStream) ProjectedLen(words []int32) int {
-	n := len(cs.pauses)
-	for _, a := range words {
-		n += int(cs.wordStart[a+1] - cs.wordStart[a])
-	}
-	return n
-}
-
-// project appends to dst the stream restricted to the µops that access
+// Project appends to dst the stream restricted to the µops that access
 // words, plus every pause, in stream order, with word words[k]
 // renumbered to local address k. A projected read whose previous read
 // on the same port hit a word outside the projection is preceded by a
@@ -282,8 +271,12 @@ func (cs *CompiledStream) ProjectedLen(words []int32) int {
 // fault-free cells in every lane, which is what the sense latch then
 // holds. words holds one or two distinct in-range addresses.
 //
+// The result is exactly what ReplayProjected replays for words, so a
+// fault localised onto two supports with equal projections gets the
+// same verdict on either.
+//
 //mbist:hotpath
-func (cs *CompiledStream) project(words []int32, dst []UOp) []UOp {
+func (cs *CompiledStream) Project(words []int32, dst []UOp) []UOp {
 	w0, w1 := words[0], int32(-1)
 	a := cs.byWord[cs.wordStart[w0]:cs.wordStart[w0+1]]
 	var b []int32
@@ -325,7 +318,7 @@ func (cs *CompiledStream) project(words []int32, dst []UOp) []UOp {
 }
 
 // ReplayProjected replays the stream projected onto one or two words
-// (see project) on a local memory whose address k stands for words[k],
+// (see Project) on a local memory whose address k stands for words[k],
 // with the batch's faults injected in those local coordinates. Faults
 // of the batch must touch no word outside words; then every other word
 // holds fault-free values in every lane and dropping its µops changes
@@ -347,7 +340,7 @@ func (m *LaneInjected) ReplayProjected(cs *CompiledStream, words []int32, buf []
 			return 0, buf, fmt.Errorf("faults: bad projection words %v for %d-word stream", words, cs.size)
 		}
 	}
-	buf = cs.project(words, buf[:0])
+	buf = cs.Project(words, buf[:0])
 	kern, err := m.replayOps(buf, fail)
 	return kern, buf, err
 }

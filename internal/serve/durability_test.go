@@ -283,10 +283,12 @@ func TestNewRefusesUntrustedJournal(t *testing.T) {
 
 // TestDeadlineExpiredJobReturnsPartial pins the acceptance criterion:
 // a grade job whose sweep.Spec timeout expires still goes to done with
-// a valid Partial report and a deadline attribution.
+// a valid Partial report and a deadline attribution. The sweep (every
+// library algorithm at 2048x8) takes most of a second on the default
+// lane engine, well past the deadline.
 func TestDeadlineExpiredJobReturnsPartial(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	st := submit(t, ts, `{"kind":"grade","grade":{"size":256,"width":2,"timeout":"20ms"}}`)
+	st := submit(t, ts, `{"kind":"grade","grade":{"size":2048,"width":8,"timeout":"20ms"}}`)
 	final := waitDone(t, ts, st.ID)
 	if !final.DeadlineExceeded {
 		t.Fatalf("status %+v: deadline_exceeded not set (did the full sweep finish inside 20ms?)", final)

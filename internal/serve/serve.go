@@ -21,7 +21,9 @@
 //	GET  /v1/healthz         liveness + queue depth + journal info
 //
 // Submissions are validated synchronously — an unknown algorithm,
-// architecture or engine is a 400 at POST time, not a failed job.
+// architecture or engine is a 400 at POST time, not a failed job. A
+// body must hold exactly one JSON object (anything after it is a 400)
+// of at most 1 MiB (413 past that).
 // During drain (SIGTERM) or queue saturation submissions return 503
 // with a Retry-After header and a machine-readable JSON body while
 // queued and running jobs finish.
@@ -48,6 +50,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -993,11 +996,29 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBody bounds a submission's body. A request is a few
+// hundred bytes of JSON; the bound keeps one POST from pinning memory.
+const maxRequestBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// Exactly one JSON value: only whitespace may follow it.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the request object")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	case err != nil:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

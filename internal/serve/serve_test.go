@@ -219,6 +219,37 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounds pins the submission body contract: a body past
+// 1 MiB is a 413, whether the excess sits inside the request object or
+// after it; anything but whitespace after the object is a 400; and a
+// valid object with trailing whitespace is accepted.
+func TestSubmitBodyBounds(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	valid := `{"kind":"area","area":{"table":1}}`
+	pad := strings.Repeat(" ", maxRequestBody)
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"oversized object", `{"kind":"area","area":{"table":1}` + pad + `}`, http.StatusRequestEntityTooLarge},
+		{"oversized trailer", valid + pad + `x`, http.StatusRequestEntityTooLarge},
+		{"second object", valid + valid, http.StatusBadRequest},
+		{"trailing garbage", valid + ` x`, http.StatusBadRequest},
+		{"trailing whitespace", valid + "\n\t ", http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.want, raw)
+		}
+	}
+}
+
 func TestWatchStreamsToTerminalState(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	st := submit(t, ts, `{"kind":"grade","grade":{"algs":"mats+","size":16}}`)
