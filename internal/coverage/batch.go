@@ -3,7 +3,6 @@ package coverage
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/artifact"
 	"repro/internal/faults"
@@ -124,13 +123,6 @@ type scratchKey struct {
 	width, ports, planes int
 }
 
-// batchWorker is one grading worker's state: its scratch and the
-// lazily built scalar-retry runner.
-type batchWorker struct {
-	local *localScratch
-	retry runner
-}
-
 var (
 	scratchMu   sync.Mutex
 	scratchPool = map[scratchKey][]*localScratch{}
@@ -208,26 +200,20 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	mBatches := reg.Counter("coverage.batches_replayed")
 	mLanes := reg.Span("coverage.batch_lanes")
 	mBatch := reg.Span("coverage.batch_ns")
-	mFaults := reg.Counter("coverage.faults_graded")
 	mClassLanes := reg.Counter("coverage.class_lanes")
 	skey := scratchKey{width: r.opts.Width, ports: r.opts.Ports, planes: r.opts.Lanes / 64}
 
-	pendingIn := func(b *classBatch) int {
+	// gradeOne replays one batch on a worker's scratch; a panic escapes
+	// as a *PanicError for the caller's scalar retry, and drops the
+	// scratch's arena, which may be mid-mutation.
+	gradeOne := func(b int, sc *localScratch) error {
+		bt := &plan.batches[b]
 		pending := 0
-		for _, i := range plan.membersOf(b) {
+		for _, i := range plan.membersOf(bt) {
 			if !r.resumed[i] {
 				pending++
 			}
 		}
-		return pending
-	}
-
-	// gradeOne replays one batch on the worker's scratch; a panic
-	// escapes as a *PanicError for the caller's scalar retry, and drops
-	// the scratch's arena, which may be mid-mutation.
-	gradeOne := func(b int, sc *localScratch) error {
-		bt := &plan.batches[b]
-		pending := pendingIn(bt)
 		if pending == 0 {
 			// Fully settled by the resumed checkpoint: nothing to replay.
 			return nil
@@ -247,7 +233,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 				sc.mem = faults.NewLaneInjectedPlanes(2, skey.width, skey.ports, skey.planes, nil)
 			}
 			sc.mem.ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
-			_, sc.ops, rerr = sc.mem.ReplayProjected(cs, bt.words[:bt.n], sc.ops, &fail)
+			sc.ops, rerr = sc.mem.ReplayProjected(cs, bt.words[:bt.n], sc.ops, &fail)
 		})
 		if perr != nil {
 			sc.mem = nil
@@ -261,30 +247,33 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		mBatches.Add(1)
 		mLanes.Observe(int64(bt.hi - bt.lo))
 		mClassLanes.Add(int64(bt.hi - bt.lo))
-		mFaults.Add(int64(pending))
+		r.mFaults.Add(int64(pending))
 		return nil
 	}
 
-	// runBatch grades one batch, degrading to per-fault scalar retries
-	// when the lane replay panics. The scalar fallback runner is per
-	// worker, built lazily on first panic and rebuilt after any panic
-	// that may have corrupted it. A fault that panics in the scalar loop
-	// is itself retried once before quarantine: a wide batch can panic
-	// before ever reaching this fault (e.g. an earlier fault's hook blew
-	// up first), so the scalar attempt may be the fault's first — the
-	// quarantine contract is two panics on the fault itself, matching
-	// scalarWorker.
-	runBatch := func(sc *batchWorker, b int) error {
-		err := gradeOne(b, sc.local)
-		if err == nil {
-			return nil
+	scratch := make([]*localScratch, max(workers, 1))
+	for w := range scratch {
+		scratch[w] = getScratch(skey)
+	}
+	defer func() {
+		for _, sc := range scratch {
+			putScratch(skey, sc)
 		}
+	}()
+	// A batch whose lane replay panics degrades to the scalar oracle:
+	// each pending member is graded on its own by gradeFault, which
+	// retries a member that panics again before quarantining it. A wide
+	// batch can panic before ever reaching a member (an earlier member's
+	// hook blew up first), so the scalar attempt may be the member's
+	// first.
+	return r.claimLoop(batches, workers, func(w, b int) error {
+		err := gradeOne(b, scratch[w])
 		if _, ok := resilience.AsPanic(err); !ok {
 			return err
 		}
 		r.mRetries.Add(1)
-		rebuild := func() error {
-			sc.retry, err = buildRunnerFresh(r.alg, r.arch, r.opts)
+		run, err := buildRunner(r.alg, r.arch, r.opts)
+		if err != nil {
 			return err
 		}
 		for _, ui := range plan.membersOf(&plan.batches[b]) {
@@ -295,81 +284,10 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 			if r.ctx.Err() != nil {
 				return nil
 			}
-			if sc.retry == nil {
-				if err := rebuild(); err != nil {
-					return err
-				}
-			}
-			d, ferr := r.scalarOne(sc.retry, i)
-			if ferr != nil {
-				if _, ok := resilience.AsPanic(ferr); !ok {
-					return fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, universe[i], ferr)
-				}
-				r.mRetries.Add(1)
-				if err := rebuild(); err != nil {
-					return err
-				}
-				if d, ferr = r.scalarOne(sc.retry, i); ferr != nil {
-					p, ok := resilience.AsPanic(ferr)
-					if !ok {
-						return fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, universe[i], ferr)
-					}
-					r.quarantine(i, p)
-					sc.retry = nil
-					continue
-				}
-			}
-			r.record(i, d)
-			mFaults.Add(1)
-		}
-		return nil
-	}
-
-	if workers <= 1 {
-		w := batchWorker{local: getScratch(skey)}
-		defer putScratch(skey, w.local)
-		for b := 0; b < batches; b++ {
-			if r.ctx.Err() != nil {
-				return nil
-			}
-			if err := runBatch(&w, b); err != nil {
+			if err := r.gradeFault(run, i); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		emu    sync.Mutex
-	)
-	errBatch := batches
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := batchWorker{local: getScratch(skey)}
-			defer putScratch(skey, w.local)
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= batches || failed.Load() || r.ctx.Err() != nil {
-					return
-				}
-				if err := runBatch(&w, b); err != nil {
-					emu.Lock()
-					if b < errBatch {
-						errBatch, firstErr = b, err
-					}
-					emu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	})
 }

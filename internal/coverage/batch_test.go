@@ -160,6 +160,33 @@ func TestGradeRejectsBadLaneWidth(t *testing.T) {
 	}
 }
 
+// TestGradeRejectsBadGeometry pins Options.Validate's geometry bounds
+// on every grading entry point. Width 65 used to panic in stream
+// capture; at 257 ports the µop port byte wrapped port 256 onto port 0
+// and the lane engine disagreed with the scalar oracle. 256 ports, the
+// largest accepted, must still grade byte-identically to the oracle.
+func TestGradeRejectsBadGeometry(t *testing.T) {
+	alg, _ := march.ByName("mats+")
+	for _, o := range []Options{
+		{Size: 2, Width: 65},
+		{Size: 2, Width: -1},
+		{Size: 2, Ports: 257},
+		{Size: 2, Ports: -1},
+	} {
+		if _, err := Grade(alg, Reference, o); err == nil {
+			t.Errorf("Grade %dx%d/%d ports: no error", o.Size, o.Width, o.Ports)
+		}
+		if _, err := GradeShard(alg, Reference, o, 0, 2); err == nil {
+			t.Errorf("GradeShard %dx%d/%d ports: no error", o.Size, o.Width, o.Ports)
+		}
+		if _, err := Matrix([]march.Algorithm{alg}, Reference, o); err == nil {
+			t.Errorf("Matrix %dx%d/%d ports: no error", o.Size, o.Width, o.Ports)
+		}
+	}
+	gradeMatchesScalar(t, "mats+ 2x1 on 256 ports", alg, Reference, Options{Size: 2, Ports: 256})
+	gradeMatchesScalar(t, "mats+ 2x64", alg, Microcode, Options{Size: 2, Width: 64})
+}
+
 // TestStreamFallbackOnDecomposedProgram pins the automatic fallback:
 // a prog-FSM program whose realised algorithm was decomposed emits an
 // operation stream that diverges from the reference stream, so Grade

@@ -96,12 +96,12 @@ func TestSlicedMatchesWholeAndScalar(t *testing.T) {
 	}
 }
 
-// TestSlicedMatchesOnRandomMarches extends the differential property
+// TestClassMatchesOnRandomMarches extends the differential property
 // beyond the library: seeded random march tests (every one valid, with
 // Del elements), widths 1, 2 and 4, one and two ports, and sampled
 // universes whose coupling pairs are drawn at random and so mostly lie
 // far apart.
-func TestSlicedMatchesOnRandomMarches(t *testing.T) {
+func TestClassMatchesOnRandomMarches(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	pauses := 0
 	for i := 0; i < 24; i++ {
@@ -127,11 +127,11 @@ func TestSlicedMatchesOnRandomMarches(t *testing.T) {
 	}
 }
 
-// TestSlicedAcrossLanesShardsResume pins class grading at every lane
+// TestClassAcrossLanesShardsResume pins class grading at every lane
 // width and worker count, through a 3-shard merge and through a run
 // resumed from a mid-run checkpoint: all land on the scalar oracle's
 // report.
-func TestSlicedAcrossLanesShardsResume(t *testing.T) {
+func TestClassAcrossLanesShardsResume(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	opts := Options{Size: 32, Width: 4, Ports: 2, Workers: 1}
 	scalar := opts
@@ -185,11 +185,11 @@ func TestSlicedAcrossLanesShardsResume(t *testing.T) {
 	}
 }
 
-// TestSlicedGradeChecksWholeGoodMachine pins the whole-stream
+// TestClassGradeChecksWholeGoodMachine pins the whole-stream
 // good-machine check: a stream whose wrong expected read hits a word
 // no sampled fault touches passes every class batch, so only the check
 // run when the stream is compiled can fail the grade.
-func TestSlicedGradeChecksWholeGoodMachine(t *testing.T) {
+func TestClassGradeChecksWholeGoodMachine(t *testing.T) {
 	compiledCache.Flush()
 	defer compiledCache.Flush()
 	alg, _ := march.ByName("marchc")
@@ -331,12 +331,27 @@ func TestClassMemberPanicQuarantinesOnlyIt(t *testing.T) {
 	target := int(members[len(members)/2])
 	opts.FaultHook = chaos.PanicOn(target)
 	gradeMatchesScalar(t, "marchc with a panicking class member", alg, Microcode, opts)
-	rep, err := Grade(alg, Microcode, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Index != target {
-		t.Fatalf("quarantined %v, want only fault %d", rep.Quarantined, target)
+	// The batch's panic and the member's first scalar panic are each
+	// retried; the scalar engine retries the member's first panic only.
+	for _, c := range []struct {
+		engine  Engine
+		retries int64
+	}{{EngineAuto, 2}, {EngineScalar, 1}} {
+		reg := obs.Enable()
+		o := opts
+		o.Engine = c.engine
+		rep, err := Grade(alg, Microcode, o)
+		retries := reg.Counter("coverage.panic_retries").Value()
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Quarantined) != 1 || rep.Quarantined[0].Index != target {
+			t.Fatalf("engine %d: quarantined %v, want only fault %d", c.engine, rep.Quarantined, target)
+		}
+		if retries != c.retries {
+			t.Errorf("engine %d: coverage.panic_retries = %d, want %d", c.engine, retries, c.retries)
+		}
 	}
 }
 

@@ -53,7 +53,8 @@ func streamKeyOf(alg march.Algorithm, opts Options) compiledKey {
 
 // compileStream lowers march.StreamOps into the flat µop form:
 // pre-resolved first-cell indices, expected-value words and validated
-// port/address bounds, so replay kernels run without per-op checks.
+// port/address bounds. Options.Validate keeps ports within the µop's
+// port byte.
 func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
 	uops := make([]faults.UOp, len(stream))
 	for i, op := range stream {

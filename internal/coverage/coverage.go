@@ -3,11 +3,12 @@
 // oracle builds a fresh memory per fault, injects it and executes the
 // full test (one complete run per fault); the lane-parallel engine
 // captures the architecture's canonical operation stream once and
-// replays it over fault batches packed into uint64 bit-planes (PPSFP
-// applied to the behavioural memory model), either whole or projected
-// onto the one or two words each batch's faults touch. Both produce
-// byte-identical Reports; the lane engine is used automatically
-// whenever the captured stream matches the reference stream.
+// replays it, projected onto the one or two words a fault can touch,
+// over batches packed into uint64 bit-planes (PPSFP applied to the
+// behavioural memory model), one lane per class of faults that would
+// replay identically. Both produce byte-identical Reports; the lane
+// engine is used automatically whenever the captured stream matches
+// the reference stream.
 //
 // Grading is hardened against the three failure modes of matrix-scale
 // sweeps: cancellation (GradeContext stops workers at the next fault or
@@ -136,11 +137,11 @@ type Options struct {
 	Resume *State
 }
 
-// DefaultLanes is the lane width Options.Lanes == 0 selects. 256 lanes
-// (4 bit-planes) won the EXPERIMENTS.md X10 sweep on the benchmark
-// geometry: wide enough to amortise the stream replay over ~4x the
-// faults of a single plane, small enough that a batch's planes still
-// fit comfortably in L1.
+// DefaultLanes is the lane width Options.Lanes == 0 selects: 256 lanes
+// (4 bit-planes), the winner of the EXPERIMENTS.md X10 sweep when
+// batches replayed the whole stream. Batches now replay a 1–2-word
+// projection, one lane per class, so the width mostly sets how many
+// classes share one replay; reports are identical at every width.
 const DefaultLanes = 256
 
 func (o *Options) normalise() {
@@ -165,10 +166,20 @@ func (o *Options) normalise() {
 	o.Universe.Ports = o.Ports
 }
 
-// validate rejects option values normalise cannot default away.
-func (o *Options) validate() error {
+// Validate rejects option values that cannot be defaulted away: a word
+// width outside [1,64] (a word is one uint64), a port count outside
+// [1,256] (µops carry the port in a byte) and a lane width other than
+// 64, 128, 256 or 512. Zero selects the default. Every grading entry
+// point calls it; drivers call it to refuse a workload up front.
+func (o Options) Validate() error {
+	switch {
+	case o.Width < 0 || o.Width > 64:
+		return fmt.Errorf("coverage: word width %d outside [1,64]", o.Width)
+	case o.Ports < 0 || o.Ports > 256:
+		return fmt.Errorf("coverage: %d ports outside [1,256]", o.Ports)
+	}
 	switch o.Lanes {
-	case 64, 128, 256, 512:
+	case 0, 64, 128, 256, 512:
 		return nil
 	default:
 		return fmt.Errorf("coverage: lane width %d not one of 64, 128, 256, 512", o.Lanes)
@@ -232,10 +243,10 @@ func Grade(alg march.Algorithm, arch Architecture, opts Options) (*Report, error
 // error. A nil report is only returned for hard failures (bad options,
 // runner compile errors, engine divergence).
 func GradeContext(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options) (*Report, error) {
-	opts.normalise()
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	opts.normalise()
 	return gradeUniverse(ctx, alg, arch, opts, cachedUniverse(opts))
 }
 
@@ -347,10 +358,10 @@ func Matrix(algs []march.Algorithm, arch Architecture, opts Options) (string, er
 // the next fault (or batch) boundary. Unlike GradeContext no partial
 // table is rendered — a cancelled sweep returns only the error.
 func MatrixContext(ctx context.Context, algs []march.Algorithm, arch Architecture, opts Options) (string, error) {
-	opts.normalise()
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return "", err
 	}
+	opts.normalise()
 	universe := cachedUniverse(opts)
 	var reports []*Report
 	for _, alg := range algs {

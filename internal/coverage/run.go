@@ -39,6 +39,7 @@ type gradeRun struct {
 	mQuarantined *obs.Counter
 	mRetries     *obs.Counter
 	mCheckpoints *obs.Counter
+	mFaults      *obs.Counter
 }
 
 func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options, universe []faults.Fault) (*gradeRun, error) {
@@ -58,6 +59,7 @@ func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, op
 		mQuarantined: reg.Counter("coverage.quarantined"),
 		mRetries:     reg.Counter("coverage.panic_retries"),
 		mCheckpoints: reg.Counter("coverage.checkpoints"),
+		mFaults:      reg.Counter("coverage.faults_graded"),
 	}
 	if s := opts.Resume; s != nil {
 		if len(s.Graded) != len(universe) || len(s.Detected) != len(universe) {
@@ -243,9 +245,59 @@ func (r *gradeRun) buildReportLocked() *Report {
 	return rep
 }
 
-// scalarOne grades one fault with the scalar oracle, converting a panic
-// anywhere in the hook, the injector or the runner into a *PanicError
-// instead of unwinding the worker.
+// claimLoop grades the indices [0, n) with grade(w, i), where w in
+// [0, max(workers, 1)) names the worker. Workers claim indices through
+// one atomic cursor, so uneven per-index run times balance out; with
+// one worker the indices run in order on the calling goroutine.
+// Claiming stops once the run is cancelled (finish then renders the
+// partial report) or an index fails, and the error of the lowest
+// failing index is returned, so failures are as deterministic as the
+// serial path.
+func (r *gradeRun) claimLoop(n, workers int, grade func(w, i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n && r.ctx.Err() == nil; i++ {
+			if err := grade(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		cursor   atomic.Int64
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+		emu      sync.Mutex
+		errIndex = n
+		firstErr error
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= n || failed.Load() || r.ctx.Err() != nil {
+					return
+				}
+				if err := grade(w, i); err != nil {
+					emu.Lock()
+					if i < errIndex {
+						errIndex, firstErr = i, err
+					}
+					emu.Unlock()
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// scalarOne runs fault i once on the scalar oracle: the hook, a fresh
+// injected memory and the runner, with a panic anywhere in them
+// returned as a *PanicError instead of unwinding the worker.
 func (r *gradeRun) scalarOne(run runner, i int) (detected bool, err error) {
 	var ferr error
 	perr := resilience.Capture(func() {
@@ -261,6 +313,33 @@ func (r *gradeRun) scalarOne(run runner, i int) (detected bool, err error) {
 	return detected, ferr
 }
 
+// gradeFault grades fault i on the scalar oracle with run, the cached
+// controller's runner, and settles it. A panic is counted in
+// coverage.panic_retries and the fault runs again on a runner
+// resynthesised outside the controller cache, since the panic may have
+// corrupted the shared controller; a second panic quarantines the
+// fault. Any other error is a hard failure.
+func (r *gradeRun) gradeFault(run runner, i int) error {
+	d, err := r.scalarOne(run, i)
+	if _, ok := resilience.AsPanic(err); ok {
+		r.mRetries.Add(1)
+		if run, err = buildRunnerFresh(r.alg, r.arch, r.opts); err != nil {
+			return err
+		}
+		d, err = r.scalarOne(run, i)
+		if p, ok := resilience.AsPanic(err); ok {
+			r.quarantine(i, p)
+			return nil
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, r.universe[i], err)
+	}
+	r.record(i, d)
+	r.mFaults.Add(1)
+	return nil
+}
+
 // workerFaultCounters precomputes the per-worker fault counter names
 // so spawning workers does no name formatting. Runs with more workers
 // than slots wrap and share counters, which merges their tallies but
@@ -273,143 +352,43 @@ var workerFaultCounters = func() [64]string {
 	return t
 }()
 
-// gradeScalar grades every unresolved fault with the per-fault oracle:
-// universe[i] is injected into a fresh memory and the test executed to
-// its first fail. Panics are retried once on a rebuilt runner and then
-// quarantined; cancellation stops the claim loop at the next fault.
+// gradeScalar grades every unresolved fault with the per-fault oracle
+// (gradeFault), one claimed fault at a time. With several workers,
+// coverage.worker_start_wait_ns times each from spawn to its first
+// claim.
 func (r *gradeRun) gradeScalar() error {
-	workers := r.opts.Workers
-	if workers > len(r.universe) {
-		workers = len(r.universe)
-	}
+	workers := min(r.opts.Workers, len(r.universe))
 	reg := obs.Active()
 	reg.Gauge("coverage.workers").Set(int64(workers))
-	if workers <= 1 {
-		mWorker := reg.Counter("coverage.worker.00.faults")
-		next := 0
-		var firstErr error
-		r.scalarWorker(mWorker,
-			func() int {
-				if next >= len(r.universe) {
-					return -1
-				}
-				i := next
-				next++
-				return i
-			},
-			func(i int, err error) { firstErr = err })
-		return firstErr
-	}
-
-	// Parallel: work is claimed dynamically through an atomic cursor so
-	// uneven per-fault run times balance out. On a hard error the
-	// workers drain and the error for the lowest-indexed failing fault
-	// is reported, keeping failures as deterministic as the serial path
-	// (runner compile errors carry index -1 and outrank every fault).
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		emu    sync.Mutex
-	)
-	errIndex := len(r.universe) + 1
-	var firstErr error
-	mWait := reg.Span("coverage.worker_start_wait_ns")
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		mWorker := reg.Counter(workerFaultCounters[w%len(workerFaultCounters)])
-		go func() {
-			defer wg.Done()
-			launched := mWait.Start()
-			first := true
-			r.scalarWorker(mWorker,
-				func() int {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(r.universe) || failed.Load() {
-						return -1
-					}
-					if first {
-						mWait.ObserveSince(launched)
-						first = false
-					}
-					return i
-				},
-				func(i int, err error) {
-					emu.Lock()
-					if i < errIndex {
-						errIndex, firstErr = i, err
-					}
-					emu.Unlock()
-					failed.Store(true)
-				})
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// scalarWorker is one scalar grading worker: claim a fault index, grade
-// it, commit the verdict. A panic is retried once on a freshly built
-// runner — the panic may have corrupted the old runner's internal
-// state — and quarantined if it recurs; any non-panic error is a hard
-// failure handed to fail (index -1 for runner build errors, which
-// outrank per-fault errors). claim returning a negative index ends the
-// worker; a cancelled context ends it at the next claim.
-func (r *gradeRun) scalarWorker(mWorker *obs.Counter, claim func() int, fail func(i int, err error)) {
-	reg := obs.Active()
-	mFaults := reg.Counter("coverage.faults_graded")
-	mFault := reg.Span("coverage.fault_ns")
 	run, err := buildRunner(r.alg, r.arch, r.opts)
 	if err != nil {
-		fail(-1, err)
-		return
+		return err
 	}
-	rebuild := func() bool {
-		if run, err = buildRunnerFresh(r.alg, r.arch, r.opts); err != nil {
-			fail(-1, err)
-			return false
-		}
-		return true
+	mFault := reg.Span("coverage.fault_ns")
+	mWait := reg.Span("coverage.worker_start_wait_ns")
+	type worker struct {
+		faults  *obs.Counter
+		started bool
 	}
-	for {
-		i := claim()
-		if i < 0 {
-			return
+	ws := make([]worker, max(workers, 1))
+	for w := range ws {
+		ws[w].faults = reg.Counter(workerFaultCounters[w%len(workerFaultCounters)])
+	}
+	spawned := mWait.Start()
+	return r.claimLoop(len(r.universe), workers, func(w, i int) error {
+		if !ws[w].started && workers > 1 {
+			mWait.ObserveSince(spawned)
 		}
+		ws[w].started = true
 		if r.resumed[i] {
-			continue
-		}
-		if r.ctx.Err() != nil {
-			// Cancelled: stop claiming. finish() renders the partial
-			// report and surfaces the context error.
-			return
+			return nil
 		}
 		start := mFault.Start()
-		d, ferr := r.scalarOne(run, i)
-		if ferr != nil {
-			if _, isPanic := resilience.AsPanic(ferr); !isPanic {
-				fail(i, fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, r.universe[i], ferr))
-				return
-			}
-			r.mRetries.Add(1)
-			if !rebuild() {
-				return
-			}
-			if d, ferr = r.scalarOne(run, i); ferr != nil {
-				if p, ok := resilience.AsPanic(ferr); ok {
-					r.quarantine(i, p)
-					if !rebuild() {
-						return
-					}
-					continue
-				}
-				fail(i, fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, r.universe[i], ferr))
-				return
-			}
+		if err := r.gradeFault(run, i); err != nil {
+			return err
 		}
-		r.record(i, d)
 		mFault.ObserveSince(start)
-		mFaults.Add(1)
-		mWorker.Add(1)
-	}
+		ws[w].faults.Add(1)
+		return nil
+	})
 }

@@ -55,10 +55,10 @@ func GradeShardContext(ctx context.Context, alg march.Algorithm, arch Architectu
 	if shard < 0 || shard >= of {
 		return nil, fmt.Errorf("coverage: shard %d of %d out of range", shard, of)
 	}
-	opts.normalise()
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	opts.normalise()
 	universe := cachedUniverse(opts)
 	lo, hi := ShardRange(len(universe), shard, of)
 	if s := opts.Resume; s != nil {
@@ -157,10 +157,10 @@ func ReportFromState(alg march.Algorithm, arch Architecture, opts Options, s *St
 	if s == nil {
 		return nil, fmt.Errorf("coverage: report from nil state")
 	}
-	opts.normalise()
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	opts.normalise()
 	if !s.Complete() {
 		return nil, fmt.Errorf("coverage: state grades %d/%d faults; a report needs a complete sweep (missing shards, or resume with Options.Resume)",
 			s.GradedCount(), len(s.Graded))

@@ -75,14 +75,13 @@ type LaneInjected struct {
 	hasAF   bool         // any decoder fault in the batch; false keeps defLanes all-ones
 
 	faults []Fault // the batch, logical lane k = faults[k-1]
-	caps   Caps    // union of the batch's fault-mechanism capabilities
 
 	senseLatch  [][]uint64 // [port][bit*np+p] previous sensed planes
 	consecReads []int32    // per cell: consecutive reads since last write
 
 	defLanes    []uint64 // per-plane default-decode scratch, len npCap
 	readVals    []uint64 // per-plane read-result scratch, len npCap
-	replayReads []uint64 // general-kernel read scratch, lazily grown
+	replayReads []uint64 // replay-loop read scratch, lazily grown
 }
 
 // Mask offsets within the write-path block (stride wStride per slot).
@@ -338,7 +337,6 @@ func (m *LaneInjected) ResetPlanes(batch []Fault, planes int) {
 	}
 	m.hasCFst = false
 	m.hasAF = false
-	m.caps = 0
 	for p := range m.defLanes {
 		m.defLanes[p] = ^uint64(0)
 	}
@@ -377,7 +375,6 @@ func (m *LaneInjected) inject(f Fault, l int) {
 	// grow np back without reallocating; indexing always uses the
 	// active np.
 	n := cells * m.npCap
-	m.caps |= capsOf(f.Kind)
 	checkCell := func(c int) {
 		if c < 0 || c >= cells {
 			panic(fmt.Sprintf("faults: victim cell %d out of range", c))

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// supportClass keys a projected batch: one support, one kernel class
-// (class -1 mixes every class of the support, which selects the general
-// kernel).
+// supportClass keys a projected batch: one support, one fault kind
+// (class -1 mixes every kind of the support).
 type supportClass struct {
 	words [2]int32
 	n     int
@@ -15,13 +14,13 @@ type supportClass struct {
 }
 
 // TestReplayProjectedMatchesWhole is the exactness property of
-// support-sliced replay at the kernel level: a batch of faults sharing
+// support-sliced replay at the replay level: a batch of faults sharing
 // one support, localised onto a 1–2-word memory and replayed against
 // the stream projected onto those words, must give every lane the
 // verdict whole-stream replay on the full memory gives it. Batches are
-// drawn per kernel class and mixed, so all five kernels run, on random
-// streams with multiport interleaved reads (every SOF lane depends on
-// UOpSense), pauses and far-apart sampled coupling pairs.
+// drawn per fault kind and mixed, on random streams with multiport
+// interleaved reads (every SOF lane depends on UOpSense), pauses and
+// far-apart sampled coupling pairs.
 func TestReplayProjectedMatchesWhole(t *testing.T) {
 	geometries := []struct {
 		size, width, ports int
@@ -31,7 +30,6 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 		{6, 2, 2, UniverseOpts{Ports: 2}},
 		{16, 4, 2, UniverseOpts{Ports: 2, CellSample: 12, CouplingPairs: 40, AddrSample: 6, Seed: 3}},
 	}
-	seen := map[Kernel]int{}
 	for gi, g := range geometries {
 		cs := buildTestStream(t, g.size, g.width, g.ports, int64(gi+7), 400, true)
 		if err := cs.GoodMachineErr(); err != nil {
@@ -40,10 +38,7 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 		groups := map[supportClass][]Fault{}
 		for _, f := range Universe(g.size, g.width, g.uopts) {
 			words, n := Support(f, g.width)
-			c, _ := kernelClass(f.Kind)
-			if f.Kind == CFst {
-				c = 4 // CFst batches run the coupling kernel with dirty tracking
-			}
+			c := int(f.Kind)
 			groups[supportClass{words, n, c}] = append(groups[supportClass{words, n, c}], f)
 			groups[supportClass{words, n, -1}] = append(groups[supportClass{words, n, -1}], f)
 		}
@@ -66,7 +61,7 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 					batch := pool[start:min(start+BatchLimit(np), len(pool))]
 					whole := NewLaneInjectedPlanes(g.size, g.width, g.ports, np, batch)
 					var want [MaxPlanes]uint64
-					wantKern, err := whole.Replay(cs, &want)
+					_, err := whole.Replay(cs, &want)
 					if err != nil {
 						t.Fatalf("whole replay: %v", err)
 					}
@@ -77,15 +72,10 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 					}
 					lm := NewLaneInjectedPlanes(2, g.width, g.ports, np, local)
 					var got [MaxPlanes]uint64
-					var kern Kernel
-					kern, buf, err = lm.ReplayProjected(cs, words, buf, &got)
+					buf, err = lm.ReplayProjected(cs, words, buf, &got)
 					if err != nil {
 						t.Fatalf("projected replay on %v: %v", words, err)
 					}
-					if kern != wantKern {
-						t.Fatalf("projected batch ran kernel %v, whole-stream %v", kern, wantKern)
-					}
-					seen[kern]++
 					for i, f := range batch {
 						l := i + 1
 						if gd, wd := got[l>>6]>>uint(l&63)&1, want[l>>6]>>uint(l&63)&1; gd != wd {
@@ -97,20 +87,17 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []Kernel{KernelMask, KernelLatch, KernelCoupling, KernelAF, KernelGeneral} {
-		if seen[k] == 0 {
-			t.Errorf("no projected batch ran the %v kernel", k)
-		}
-	}
 }
 
 // TestUOpSenseMatchesReadLanes pins UOpSense to the latch semantics of
-// a real read of fault-free cells, in all five kernels. The stream
-// writes words 0 and 1 on a 2×2 memory, reads word 1, then word 0; its
-// projection onto word 0 stands for the word-1 read with a UOpSense.
+// a real read of fault-free cells, on five batches of different fault
+// mechanisms: retention, sense latch, coupling, decoder and a mix. The
+// stream writes words 0 and 1 on a 2×2 memory, reads word 1, then word
+// 0; its projection onto word 0 stands for the word-1 read with a
+// UOpSense.
 // An SOF lane on word 0 re-delivers what that read sensed, so it is
-// detected only if the kernel loads the latch; a DRF lane must not be
-// detected, because the stream has no pause and a kernel that took the
+// detected only if replay loads the latch; a DRF lane must not be
+// detected, because the stream has no pause and a replay that took the
 // UOpSense for one would leak the cell.
 func TestUOpSenseMatchesReadLanes(t *testing.T) {
 	const width, ports = 2, 1
@@ -145,15 +132,14 @@ func TestUOpSenseMatchesReadLanes(t *testing.T) {
 	sof0 := Fault{Kind: SOF, Cell: 0, Port: AnyPort}
 	drf1 := Fault{Kind: DRF, Cell: 0, Value: true, Port: AnyPort}
 	cases := []struct {
-		kern  Kernel
 		batch []Fault
 		want  []bool // per fault: detected
 	}{
-		{KernelMask, []Fault{drf1}, []bool{false}},
-		{KernelLatch, []Fault{sof0}, []bool{true}},
-		{KernelCoupling, []Fault{drf1, {Kind: CFid, Aggressor: 0, Cell: 1, AggVal: true, Value: true, Port: AnyPort}}, []bool{false, false}},
-		{KernelAF, []Fault{{Kind: AFNone, Addr: 0, Port: AnyPort}}, []bool{false}},
-		{KernelGeneral, []Fault{sof0, drf1, {Kind: AFNone, Addr: 0, Port: AnyPort}}, []bool{true, false, false}},
+		{[]Fault{drf1}, []bool{false}},
+		{[]Fault{sof0}, []bool{true}},
+		{[]Fault{drf1, {Kind: CFid, Aggressor: 0, Cell: 1, AggVal: true, Value: true, Port: AnyPort}}, []bool{false, false}},
+		{[]Fault{{Kind: AFNone, Addr: 0, Port: AnyPort}}, []bool{false}},
+		{[]Fault{sof0, drf1, {Kind: AFNone, Addr: 0, Port: AnyPort}}, []bool{true, false, false}},
 	}
 	for _, c := range cases {
 		whole := NewLaneInjected(2, width, ports, c.batch)
@@ -163,18 +149,14 @@ func TestUOpSenseMatchesReadLanes(t *testing.T) {
 		}
 		lm := NewLaneInjected(1, width, ports, c.batch)
 		var got [MaxPlanes]uint64
-		kern, _, err := lm.ReplayProjected(cs, []int32{0}, nil, &got)
-		if err != nil {
+		if _, err := lm.ReplayProjected(cs, []int32{0}, nil, &got); err != nil {
 			t.Fatal(err)
-		}
-		if kern != c.kern {
-			t.Fatalf("batch %v ran kernel %v, want %v", c.batch, kern, c.kern)
 		}
 		for i, f := range c.batch {
 			l := uint(i + 1)
 			if d := got[0]>>l&1 == 1; d != c.want[i] || d != (want[0]>>l&1 == 1) {
-				t.Errorf("%v kernel: %v projected detected=%v, whole-stream %v, want %v",
-					c.kern, f, d, want[0]>>l&1 == 1, c.want[i])
+				t.Errorf("batch %v: %v projected detected=%v, whole-stream %v, want %v",
+					c.batch, f, d, want[0]>>l&1 == 1, c.want[i])
 			}
 		}
 	}

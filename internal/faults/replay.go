@@ -2,71 +2,22 @@ package faults
 
 import "fmt"
 
-// Caps is the bitset of fault-mechanism capabilities a batch needs
-// from the replay engine. Each injected fault contributes the
-// machinery its kind requires; the union selects the cheapest replay
-// kernel that is exact for the whole batch (see Kernel).
-type Caps uint8
-
-const (
-	// CapAF: address-decoder faults — redirect decode on every access.
-	CapAF Caps = 1 << iota
-	// CapCoupling: aggressor-triggered coupling (CFin/CFid/CFst) —
-	// transition detection and trigger firing on every write.
-	CapCoupling
-	// CapState: state coupling (CFst) — dirty tracking plus condition
-	// re-application after every write and pause.
-	CapState
-	// CapLatch: read-path state — SOF sense latches, RDF consecutive-
-	// read counters, DRDF cell flips.
-	CapLatch
-	// CapPause: retention leaks (DRF) applied on Pause.
-	CapPause
-)
-
-// capsOf maps a fault kind to the replay capabilities it requires.
-// SA/TF/WDF/IRF are pure mask applications and require none.
-func capsOf(k Kind) Caps {
-	switch k {
-	case SOF, RDF, DRDF:
-		return CapLatch
-	case DRF:
-		return CapPause
-	case CFin, CFid:
-		return CapCoupling
-	case CFst:
-		return CapCoupling | CapState
-	case AFNone, AFMap, AFMulti:
-		return CapAF
-	default:
-		return 0
-	}
-}
-
-// Caps returns the union of the current batch's capabilities.
-func (m *LaneInjected) Caps() Caps { return m.caps }
-
-// Kernel identifies which specialized replay loop a batch's
-// capabilities admit. Kernels are exact, not approximate: each one is
-// the general machine with the code paths its excluded capabilities
-// would exercise provably dead, so every kernel produces bit-identical
-// lane verdicts to the general path (asserted by TestReplayKernels*).
+// Kernel names a replay loop. Replay has one loop, KernelGeneral; the
+// other constants, String and (*LaneInjected).Kernel stay because the
+// mbistperf workload benchmark's traced decomposition names one replay
+// span per kernel and builds against them.
 type Kernel uint8
 
 const (
-	// KernelGeneral is the catch-all: full Write/ReadLanes semantics.
+	// KernelGeneral is the only replay loop: full Write/ReadLanes
+	// semantics.
 	KernelGeneral Kernel = iota
-	// KernelMask handles pure mask faults (SA/TF/WDF/IRF, plus DRF
-	// pause leaks): no redirect decode, no triggers, no dirty tracking,
-	// no read-path state.
+	// KernelMask, KernelLatch, KernelCoupling and KernelAF named the
+	// specialised loops for pure-mask, read-path, coupling and
+	// decoder-only batches. No batch runs them.
 	KernelMask
-	// KernelLatch adds read-path state (SOF/RDF/DRDF) to KernelMask.
 	KernelLatch
-	// KernelCoupling adds write triggers and CFst re-application to
-	// KernelMask.
 	KernelCoupling
-	// KernelAF handles decoder-fault-only batches: redirect decode
-	// without any mask, trigger or read-path machinery.
 	KernelAF
 )
 
@@ -86,21 +37,9 @@ func (k Kernel) String() string {
 	}
 }
 
-// Kernel selects the cheapest exact kernel for the current batch.
-func (m *LaneInjected) Kernel() Kernel {
-	switch {
-	case m.caps&^CapPause == 0:
-		return KernelMask
-	case m.caps&^(CapLatch|CapPause) == 0:
-		return KernelLatch
-	case m.caps&^(CapCoupling|CapState|CapPause) == 0:
-		return KernelCoupling
-	case m.caps == CapAF:
-		return KernelAF
-	default:
-		return KernelGeneral
-	}
-}
+// Kernel reports the loop Replay runs for the current batch: always
+// KernelGeneral (see Kernel).
+func (m *LaneInjected) Kernel() Kernel { return KernelGeneral }
 
 // µop opcodes.
 const (
@@ -120,9 +59,8 @@ const (
 )
 
 // UOp is one compiled micro-operation of a march stream: the port,
-// address and data of a march primitive with the first cell index
-// (Addr×width) pre-resolved, so replay kernels index cell planes with
-// one multiply per op instead of one per bit.
+// address and data of a march primitive, with the first cell index
+// (Addr×width) that NewCompiledStream checks against the geometry.
 type UOp struct {
 	// Data is the written word (UOpWrite) or the expected fault-free
 	// read value (UOpRead).
@@ -143,8 +81,7 @@ type UOp struct {
 
 // CompiledStream is a validated, immutable µop program for one
 // (algorithm, geometry): every port and address is bounds-checked at
-// compile time, so replay kernels run without per-op access checks.
-// Compile once (it is content-addressed by the coverage layer), replay
+// compile time. Compile once (it is content-addressed by the coverage layer), replay
 // per batch.
 //
 // The stream also carries a per-word µop index for support-sliced
@@ -327,22 +264,21 @@ func (cs *CompiledStream) Project(words []int32, dst []UOp) []UOp {
 // whole stream with GoodMachineErr.
 //
 //mbist:hotpath
-func (m *LaneInjected) ReplayProjected(cs *CompiledStream, words []int32, buf []UOp, fail *[MaxPlanes]uint64) (Kernel, []UOp, error) {
+func (m *LaneInjected) ReplayProjected(cs *CompiledStream, words []int32, buf []UOp, fail *[MaxPlanes]uint64) ([]UOp, error) {
 	if cs.width != m.width || cs.ports != m.ports {
-		return 0, buf, fmt.Errorf("faults: stream compiled for width %d/%d ports replayed on %d/%d",
+		return buf, fmt.Errorf("faults: stream compiled for width %d/%d ports replayed on %d/%d",
 			cs.width, cs.ports, m.width, m.ports)
 	}
 	if len(words) < 1 || len(words) > 2 || len(words) > m.size {
-		return 0, buf, fmt.Errorf("faults: projection onto %d words on a %d-word memory", len(words), m.size)
+		return buf, fmt.Errorf("faults: projection onto %d words on a %d-word memory", len(words), m.size)
 	}
 	for k, a := range words {
 		if a < 0 || int(a) >= cs.size || (k == 1 && a == words[0]) {
-			return 0, buf, fmt.Errorf("faults: bad projection words %v for %d-word stream", words, cs.size)
+			return buf, fmt.Errorf("faults: bad projection words %v for %d-word stream", words, cs.size)
 		}
 	}
 	buf = cs.Project(words, buf[:0])
-	kern, err := m.replayOps(buf, fail)
-	return kern, buf, err
+	return buf, m.replay(buf, fail)
 }
 
 // Geometry returns the memory geometry the stream was compiled for.
@@ -353,8 +289,8 @@ func (cs *CompiledStream) Geometry() (size, width, ports int) {
 // Replay runs the compiled stream through every lane at once and
 // accumulates per-plane fail masks into fail: bit b of fail[p] is set
 // iff logical lane p*64+b returned a wrong value on some read. It
-// dispatches to the cheapest kernel the batch's capabilities admit and
-// returns which one ran.
+// always runs KernelGeneral and reports it; the Kernel result stays for
+// mbistperf's traced decomposition.
 //
 // Replay early-exits once every occupied fault lane has failed (the
 // verdict can no longer change), and errors out if the good machine
@@ -364,37 +300,10 @@ func (cs *CompiledStream) Geometry() (size, width, ports int) {
 //mbist:hotpath
 func (m *LaneInjected) Replay(cs *CompiledStream, fail *[MaxPlanes]uint64) (Kernel, error) {
 	if cs.size != m.size || cs.width != m.width || cs.ports != m.ports {
-		return 0, fmt.Errorf("faults: stream compiled for %dx%d/%d replayed on %dx%d/%d",
+		return KernelGeneral, fmt.Errorf("faults: stream compiled for %dx%d/%d replayed on %dx%d/%d",
 			cs.size, cs.width, cs.ports, m.size, m.width, m.ports)
 	}
-	return m.replayOps(cs.ops, fail)
-}
-
-// replayOps runs validated µops through the cheapest kernel the batch
-// admits.
-//
-//mbist:hotpath
-func (m *LaneInjected) replayOps(ops []UOp, fail *[MaxPlanes]uint64) (Kernel, error) {
-	*fail = [MaxPlanes]uint64{}
-	var occ [MaxPlanes]uint64
-	for p := 0; p < m.np; p++ {
-		occ[p] = m.FaultMaskPlane(p)
-	}
-	kern := m.Kernel()
-	var err error
-	switch kern {
-	case KernelMask:
-		err = m.replayMask(ops, fail, &occ)
-	case KernelLatch:
-		err = m.replayLatch(ops, fail, &occ)
-	case KernelCoupling:
-		err = m.replayCoupling(ops, fail, &occ)
-	case KernelAF:
-		err = m.replayAF(ops, fail, &occ)
-	default:
-		err = m.replayGeneral(ops, fail, &occ)
-	}
-	return kern, err
+	return KernelGeneral, m.replay(cs.ops, fail)
 }
 
 // goodLaneErr reports a good-machine misread: the stream does not
@@ -415,400 +324,18 @@ func replayDone(fail, occ *[MaxPlanes]uint64, np int) bool {
 	return true
 }
 
-// replayMask is the pure-mask kernel: writes apply the write-path mask
-// stripe, reads apply the SA/IRF read masks and compare. No decoder
-// redirects, no triggers, no dirty tracking, no latch or counter
-// state exist in the batch, so none are maintained.
-//
-//mbist:hotpath
-func (m *LaneInjected) replayMask(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
-	np, width, planes := m.np, m.width, m.planes
-	wb, rb := m.wmask.byPort, m.rmask.byPort
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.Kind {
-		case UOpWrite:
-			s := int(op.Cell) * np
-			var wp []uint64
-			if wb != nil {
-				wp = wb[op.Port]
-			}
-			if wp == nil {
-				for bit := 0; bit < width; bit++ {
-					v := -(op.Data >> uint(bit) & 1)
-					for p := 0; p < np; p++ {
-						planes[s] = v
-						s++
-					}
-				}
-				continue
-			}
-			for bit := 0; bit < width; bit++ {
-				v := -(op.Data >> uint(bit) & 1)
-				for p := 0; p < np; p++ {
-					old := planes[s]
-					o := s * wStride
-					eff := (v &^ wp[o+wSA0]) | wp[o+wSA1]
-					eff &^= wp[o+wTFUp] &^ old
-					eff |= wp[o+wTFDown] & old
-					eff |= wp[o+wWDF0] &^ old &^ v
-					eff &^= wp[o+wWDF1] & old & v
-					planes[s] = eff
-					s++
-				}
-			}
-		case UOpRead:
-			s := int(op.Cell) * np
-			var rp []uint64
-			if rb != nil {
-				rp = rb[op.Port]
-			}
-			for bit := 0; bit < width; bit++ {
-				exp := -(op.Data >> uint(bit) & 1)
-				if rp == nil {
-					for p := 0; p < np; p++ {
-						fail[p] |= planes[s] ^ exp
-						s++
-					}
-					continue
-				}
-				for p := 0; p < np; p++ {
-					raw := planes[s]
-					o := s * rStride
-					v := (raw &^ rp[o+rSA0]) | rp[o+rSA1]
-					v |= rp[o+rIRF0] &^ raw
-					v &^= rp[o+rIRF1] & raw
-					fail[p] |= v ^ exp
-					s++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return goodLaneErr(op)
-			}
-			if replayDone(fail, occ, np) {
-				return nil
-			}
-		case UOpSense:
-			// No sense-latch state in a mask batch.
-		default: // UOpPause
-			for _, e := range m.drf {
-				i := e.cell*np + e.plane
-				if e.value {
-					planes[i] |= e.lane
-				} else {
-					planes[i] &^= e.lane
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// replayLatch extends replayMask with read-path state: RDF
-// consecutive-read counters, DRDF destructive flips and SOF sense
-// latches. Still no decoder or coupling machinery.
-//
-//mbist:hotpath
-func (m *LaneInjected) replayLatch(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
-	np, width, planes := m.np, m.width, m.planes
-	wb, rb := m.wmask.byPort, m.rmask.byPort
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.Kind {
-		case UOpWrite:
-			cell0 := int(op.Cell)
-			s := cell0 * np
-			var wp []uint64
-			if wb != nil {
-				wp = wb[op.Port]
-			}
-			for bit := 0; bit < width; bit++ {
-				m.consecReads[cell0+bit] = 0
-				v := -(op.Data >> uint(bit) & 1)
-				if wp == nil {
-					for p := 0; p < np; p++ {
-						planes[s] = v
-						s++
-					}
-					continue
-				}
-				for p := 0; p < np; p++ {
-					old := planes[s]
-					o := s * wStride
-					eff := (v &^ wp[o+wSA0]) | wp[o+wSA1]
-					eff &^= wp[o+wTFUp] &^ old
-					eff |= wp[o+wTFDown] & old
-					eff |= wp[o+wWDF0] &^ old &^ v
-					eff &^= wp[o+wWDF1] & old & v
-					planes[s] = eff
-					s++
-				}
-			}
-		case UOpRead:
-			cell0 := int(op.Cell)
-			s := cell0 * np
-			var rp []uint64
-			if rb != nil {
-				rp = rb[op.Port]
-			}
-			sl := m.senseLatch[op.Port]
-			li := 0
-			for bit := 0; bit < width; bit++ {
-				cell := cell0 + bit
-				m.consecReads[cell]++
-				decayed := m.consecReads[cell] >= 3
-				exp := -(op.Data >> uint(bit) & 1)
-				for p := 0; p < np; p++ {
-					raw := planes[s]
-					v := raw
-					var sof uint64
-					if rp != nil {
-						o := s * rStride
-						v = (raw &^ rp[o+rSA0]) | rp[o+rSA1]
-						if decayed {
-							v = (v &^ rp[o+rRDF0]) | rp[o+rRDF1]
-						}
-						v |= rp[o+rIRF0] &^ raw
-						v &^= rp[o+rIRF1] & raw
-						set := rp[o+rDRDF0] &^ raw
-						clr := rp[o+rDRDF1] & raw
-						if set|clr != 0 {
-							planes[s] = (raw | set) &^ clr
-						}
-						sof = rp[o+rSOF]
-					}
-					latch := sl[li]
-					fail[p] |= ((v &^ sof) | (latch & sof)) ^ exp
-					sl[li] = (latch & sof) | (v &^ sof)
-					s++
-					li++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return goodLaneErr(op)
-			}
-			if replayDone(fail, occ, np) {
-				return nil
-			}
-		case UOpSense:
-			m.loadLatch(int(op.Port), op.Data)
-		default: // UOpPause
-			for _, e := range m.drf {
-				i := e.cell*np + e.plane
-				if e.value {
-					planes[i] |= e.lane
-				} else {
-					planes[i] &^= e.lane
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// replayCoupling extends replayMask with write-transition triggers
-// (CFin/CFid) and CFst dirty tracking + re-application. Reads stay on
-// the mask fast path: coupling batches carry no read-path state.
-//
-//mbist:hotpath
-func (m *LaneInjected) replayCoupling(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
-	np, width, planes := m.np, m.width, m.planes
-	wb, rb := m.wmask.byPort, m.rmask.byPort
-	hasCFst := m.hasCFst
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.Kind {
-		case UOpWrite:
-			cell0 := int(op.Cell)
-			s := cell0 * np
-			var wp []uint64
-			if wb != nil {
-				wp = wb[op.Port]
-			}
-			for bit := 0; bit < width; bit++ {
-				cell := cell0 + bit
-				v := -(op.Data >> uint(bit) & 1)
-				trig := m.cfTrig[cell]
-				for p := 0; p < np; p++ {
-					old := planes[s]
-					eff := v
-					if wp != nil {
-						o := s * wStride
-						eff = (v &^ wp[o+wSA0]) | wp[o+wSA1]
-						eff &^= wp[o+wTFUp] &^ old
-						eff |= wp[o+wTFDown] & old
-						eff |= wp[o+wWDF0] &^ old &^ v
-						eff &^= wp[o+wWDF1] & old & v
-					}
-					planes[s] = eff
-					if changed := old ^ eff; changed != 0 {
-						if hasCFst {
-							m.markDirty(cell)
-						}
-						if len(trig) > 0 {
-							rose := changed & eff
-							fell := changed & old
-							for ei := range trig {
-								e := &trig[ei]
-								if e.plane != p {
-									continue
-								}
-								var fire uint64
-								if e.aggVal {
-									fire = rose & e.lane
-								} else {
-									fire = fell & e.lane
-								}
-								if fire == 0 {
-									continue
-								}
-								vi := e.victim*np + p
-								if e.kind == CFin {
-									planes[vi] ^= fire
-								} else if e.value {
-									planes[vi] |= fire
-								} else {
-									planes[vi] &^= fire
-								}
-								if hasCFst {
-									m.markDirty(e.victim)
-								}
-							}
-						}
-					}
-					s++
-				}
-			}
-			m.applyStateCFs()
-		case UOpRead:
-			s := int(op.Cell) * np
-			var rp []uint64
-			if rb != nil {
-				rp = rb[op.Port]
-			}
-			for bit := 0; bit < width; bit++ {
-				exp := -(op.Data >> uint(bit) & 1)
-				if rp == nil {
-					for p := 0; p < np; p++ {
-						fail[p] |= planes[s] ^ exp
-						s++
-					}
-					continue
-				}
-				for p := 0; p < np; p++ {
-					raw := planes[s]
-					o := s * rStride
-					v := (raw &^ rp[o+rSA0]) | rp[o+rSA1]
-					v |= rp[o+rIRF0] &^ raw
-					v &^= rp[o+rIRF1] & raw
-					fail[p] |= v ^ exp
-					s++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return goodLaneErr(op)
-			}
-			if replayDone(fail, occ, np) {
-				return nil
-			}
-		case UOpSense:
-			// No sense-latch state in a coupling batch.
-		default: // UOpPause
-			for _, e := range m.drf {
-				i := e.cell*np + e.plane
-				if e.value {
-					planes[i] |= e.lane
-				} else {
-					planes[i] &^= e.lane
-				}
-				if hasCFst {
-					m.markDirty(e.cell)
-				}
-			}
-			m.applyStateCFs()
-		}
-	}
-	return nil
-}
-
-// replayAF is the decoder-fault-only kernel: accesses apply AFNone
-// drops and AFMap/AFMulti redirections over raw cells, with no mask,
-// trigger, latch or counter machinery (an AF-only batch has none).
-//
-//mbist:hotpath
-func (m *LaneInjected) replayAF(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
-	np, width, planes := m.np, m.width, m.planes
-	rv := m.readVals
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.Kind {
-		case UOpWrite:
-			port, addr := int(op.Port), int(op.Addr)
-			redir := m.afRedir[addr]
-			m.defaultDecode(port, addr, redir)
-			s := int(op.Cell) * np
-			for bit := 0; bit < width; bit++ {
-				v := -(op.Data >> uint(bit) & 1)
-				for p := 0; p < np; p++ {
-					lm := m.defLanes[p]
-					planes[s] = (planes[s] &^ lm) | (v & lm)
-					s++
-				}
-				for _, e := range redir {
-					if !e.appliesTo(port) {
-						continue
-					}
-					i := (e.aggAddr*width+bit)*np + e.plane
-					planes[i] = (planes[i] &^ e.lane) | (v & e.lane)
-				}
-			}
-		case UOpRead:
-			port, addr := int(op.Port), int(op.Addr)
-			redir := m.afRedir[addr]
-			m.defaultDecode(port, addr, redir)
-			s := int(op.Cell) * np
-			for bit := 0; bit < width; bit++ {
-				exp := -(op.Data >> uint(bit) & 1)
-				for p := 0; p < np; p++ {
-					rv[p] = planes[s] &^ m.afNone.at(port, addr*np+p)
-					s++
-				}
-				for _, e := range redir {
-					if !e.appliesTo(port) {
-						continue
-					}
-					av := planes[(e.aggAddr*width+bit)*np+e.plane]
-					if e.multi {
-						rv[e.plane] &^= e.lane &^ av
-					} else {
-						rv[e.plane] = (rv[e.plane] &^ e.lane) | (av & e.lane)
-					}
-				}
-				for p := 0; p < np; p++ {
-					fail[p] |= rv[p] ^ exp
-				}
-			}
-			if fail[0]&1 != 0 {
-				return goodLaneErr(op)
-			}
-			if replayDone(fail, occ, np) {
-				return nil
-			}
-		case UOpSense, UOpPause:
-			// No sense-latch, retention or state-coupling faults in an
-			// AF batch.
-		}
-	}
-	return nil
-}
-
-// replayGeneral is the catch-all: full Write/ReadLanes/Pause semantics
-// driven by the µop buffer, with the read fused against the expected
-// values (no caller-side result buffer). Its Write/ReadLanes calls
+// replay is the replay loop: full Write/ReadLanes/Pause semantics
+// driven by validated µops, with each read fused against its expected
+// value (no caller-side result buffer). Its Write/ReadLanes calls
 // re-check every access, which NewCompiledStream has already proved.
 //
 //mbist:hotpath
-func (m *LaneInjected) replayGeneral(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
+func (m *LaneInjected) replay(ops []UOp, fail *[MaxPlanes]uint64) error {
+	*fail = [MaxPlanes]uint64{}
+	var occ [MaxPlanes]uint64
+	for p := 0; p < m.np; p++ {
+		occ[p] = m.FaultMaskPlane(p)
+	}
 	np, width := m.np, m.width
 	for oi := range ops {
 		op := &ops[oi]
@@ -828,7 +355,7 @@ func (m *LaneInjected) replayGeneral(ops []UOp, fail, occ *[MaxPlanes]uint64) er
 			if fail[0]&1 != 0 {
 				return goodLaneErr(op)
 			}
-			if replayDone(fail, occ, np) {
+			if replayDone(fail, &occ, np) {
 				return nil
 			}
 		case UOpSense:

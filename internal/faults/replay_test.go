@@ -54,116 +54,125 @@ func buildTestStream(t *testing.T, size, width, ports int, seed int64, steps int
 	return cs
 }
 
-// interpretedReplay drives the same µops through the public
-// Write/ReadLanes/Pause path — the reference the kernels must match.
-func interpretedReplay(m *LaneInjected, cs *CompiledStream) ([MaxPlanes]uint64, bool) {
-	var fail [MaxPlanes]uint64
-	np, width := m.Planes(), m.Width()
-	var reads []uint64
+// scalarDetects runs the stream's µops on a scalar Injected carrying
+// only f and reports whether any read returned a wrong value: the
+// oracle every replay lane must agree with.
+func scalarDetects(cs *CompiledStream, f Fault) bool {
+	m := NewInjected(cs.size, cs.width, cs.ports, f)
+	detected := false
 	for i := range cs.ops {
 		op := &cs.ops[i]
 		switch op.Kind {
 		case UOpWrite:
 			m.Write(int(op.Port), int(op.Addr), op.Data)
 		case UOpRead:
-			reads = m.ReadLanes(int(op.Port), int(op.Addr), reads[:0])
-			s := 0
-			for bit := 0; bit < width; bit++ {
-				exp := -(op.Data >> uint(bit) & 1)
-				for p := 0; p < np; p++ {
-					fail[p] |= reads[s] ^ exp
-					s++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return fail, false
+			if m.Read(int(op.Port), int(op.Addr)) != op.Data {
+				detected = true
 			}
 		default:
 			m.Pause()
 		}
 	}
-	return fail, true
+	return detected
 }
 
-// kernelClass partitions fault kinds the way the coverage layer packs
-// batches: each class admits one specialized kernel.
-func kernelClass(k Kind) (int, Kernel) {
-	switch k {
-	case SOF, RDF, DRDF:
-		return 1, KernelLatch
-	case CFin, CFid, CFst:
-		return 2, KernelCoupling
-	case AFNone, AFMap, AFMulti:
-		return 3, KernelAF
-	default: // SA, TF, WDF, IRF, DRF
-		return 0, KernelMask
-	}
+// laneDetected reports logical lane l's verdict in a fail mask.
+func laneDetected(fail *[MaxPlanes]uint64, l int) bool {
+	return fail[l>>6]>>uint(l&63)&1 == 1
 }
 
-// TestReplayKernelsMatchInterpreted is the core compiled-replay
-// equivalence property: for every mechanism class (each selecting its
-// specialized kernel) and for mixed batches (the general catch-all),
-// Replay must produce the same per-lane verdicts as the interpreted
-// Write/ReadLanes path, across geometries and plane counts.
-func TestReplayKernelsMatchInterpreted(t *testing.T) {
-	geometries := []struct {
-		size, width, ports int
-	}{
-		{8, 1, 1},
-		{4, 2, 2},
-	}
-	for _, g := range geometries {
-		universe := Universe(g.size, g.width, UniverseOpts{Ports: g.ports})
-		cs := testStream(t, g.size, g.width, g.ports, int64(g.size*100+g.ports), 300)
-
-		// Per-class batches select their specialized kernel; a whole
-		// universe chunk mixes classes and must fall back to general.
-		byClass := make(map[int][]Fault)
-		wantKernel := make(map[int]Kernel)
-		for _, f := range universe {
-			c, k := kernelClass(f.Kind)
-			byClass[c] = append(byClass[c], f)
-			wantKernel[c] = k
+// FuzzReplayMatchesScalar is the compiled-replay equivalence property:
+// on a random µop stream over a small geometry, every fault's lane
+// verdict from Replay (universe chunks that mix every kind) and from
+// ReplayProjected (batches sharing one support, localised onto a
+// 2-word memory) must equal a scalar Injected carrying only that fault
+// and running the same µops. Inputs pick the stream seed, the geometry
+// (1–8 words, width 1–4, 1–2 ports), the plane count (1, 2 or 4), the
+// stream length and whether the stream opens with a write of every
+// word.
+func FuzzReplayMatchesScalar(f *testing.F) {
+	// Long random streams detect almost every fault whatever the replay
+	// does, so short ones (where a verdict hangs on a single read) seed
+	// the corpus too.
+	for _, g := range []struct{ size, width, ports uint8 }{{8, 1, 1}, {4, 2, 2}} {
+		for planes := uint8(0); planes < 3; planes++ {
+			for _, steps := range []uint16{300, 32} {
+				f.Add(int64(g.size)*100+int64(g.ports), g.size, g.width, g.ports, planes, steps, false)
+			}
+			f.Add(int64(planes), g.size, g.width, g.ports, planes, uint16(16), true)
 		}
-		byClass[4] = universe
-		wantKernel[4] = KernelGeneral
+	}
+	f.Add(int64(7), uint8(6), uint8(2), uint8(2), uint8(1), uint16(400), true)
+	f.Fuzz(func(t *testing.T, seed int64, size, width, ports, planes uint8, steps uint16, sweep bool) {
+		// pick maps v onto [lo, hi], identically on values already there.
+		pick := func(v uint8, lo, hi int) int {
+			n := hi - lo + 1
+			return lo + ((int(v)-lo)%n+n)%n
+		}
+		sz, w, np := pick(size, 1, 8), pick(width, 1, 4), []int{1, 2, 4}[planes%3]
+		p := pick(ports, 1, 2)
+		cs := buildTestStream(t, sz, w, p, seed, int(steps)%512, sweep)
+		universe := Universe(sz, w, UniverseOpts{Ports: p})
+		want := make(map[Fault]bool, len(universe))
+		for _, flt := range universe {
+			want[flt] = scalarDetects(cs, flt)
+		}
+		limit := BatchLimit(np)
 
-		for _, np := range []int{1, 2, 4} {
-			limit := BatchLimit(np)
-			for class, pool := range byClass {
-				for start := 0; start < len(pool); start += limit {
-					end := min(start+limit, len(pool))
-					batch := pool[start:end]
+		for start := 0; start < len(universe); start += limit {
+			batch := universe[start:min(start+limit, len(universe))]
+			m := NewLaneInjectedPlanes(sz, w, p, np, batch)
+			var fail [MaxPlanes]uint64
+			if _, err := m.Replay(cs, &fail); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			for i, flt := range batch {
+				if got := laneDetected(&fail, i+1); got != want[flt] {
+					t.Fatalf("%dx%d/%dp np=%d: %v replay detected=%v, scalar %v", sz, w, p, np, flt, got, want[flt])
+				}
+			}
+		}
 
-					arena := NewLaneInjectedPlanes(g.size, g.width, g.ports, np, batch)
-					if got := arena.Kernel(); got != wantKernel[class] && class != 4 {
-						t.Fatalf("class %d batch: kernel %v, want %v (caps %b)",
-							class, got, wantKernel[class], arena.Caps())
-					}
-					var fail [MaxPlanes]uint64
-					if _, err := arena.Replay(cs, &fail); err != nil {
-						t.Fatalf("class %d np=%d replay: %v", class, np, err)
-					}
-
-					ref := NewLaneInjectedPlanes(g.size, g.width, g.ports, np, batch)
-					want, ok := interpretedReplay(ref, cs)
-					if !ok {
-						t.Fatalf("class %d np=%d: interpreted replay lost the good machine", class, np)
-					}
-
-					for i := range batch {
-						l := i + 1
-						got := fail[l>>6]>>uint(l&63)&1 == 1
-						exp := want[l>>6]>>uint(l&63)&1 == 1
-						if got != exp {
-							t.Fatalf("%dx%d/%dp np=%d class %d: lane %d (%s) detected=%v, interpreted %v",
-								g.size, g.width, g.ports, np, class, l, batch[i], got, exp)
-						}
+		type support struct {
+			words [2]int32
+			n     int
+		}
+		groups := map[support][]Fault{}
+		var order []support
+		for _, flt := range universe {
+			words, n := Support(flt, w)
+			k := support{words, n}
+			if _, ok := groups[k]; !ok {
+				order = append(order, k)
+			}
+			groups[k] = append(groups[k], flt)
+		}
+		local := NewLaneInjectedPlanes(2, w, p, np, nil)
+		var buf []UOp
+		for _, k := range order {
+			words := k.words[:k.n]
+			pool := groups[k]
+			for start := 0; start < len(pool); start += limit {
+				batch := pool[start:min(start+limit, len(pool))]
+				loc := make([]Fault, len(batch))
+				for i, flt := range batch {
+					loc[i] = Localize(flt, w, words)
+				}
+				local.ResetPlanes(loc, np)
+				var fail [MaxPlanes]uint64
+				var err error
+				if buf, err = local.ReplayProjected(cs, words, buf, &fail); err != nil {
+					t.Fatalf("projected replay on %v: %v", words, err)
+				}
+				for i, flt := range batch {
+					if got := laneDetected(&fail, i+1); got != want[flt] {
+						t.Fatalf("%dx%d/%dp np=%d words %v: %v projected detected=%v, scalar %v",
+							sz, w, p, np, words, flt, got, want[flt])
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestReplaySameBatchReset pins the re-injection skip: replaying the

@@ -45,8 +45,12 @@ func Capture(fn func()) (err error) {
 }
 
 // AsPanic reports whether err (anywhere in its chain) is a captured
-// panic, returning it when so.
+// panic, returning it when so. A nil err returns before errors.As, whose
+// target would escape to the heap.
 func AsPanic(err error) (*PanicError, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		return pe, true

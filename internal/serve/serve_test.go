@@ -189,6 +189,8 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 		{`{"kind":"grade","grade":{"algs":"nosuch"}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"engine":"warp"}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"shards":-1}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"width":65}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"ports":257}}`, http.StatusBadRequest},
 		{`{"kind":"lint","lint":{"arch":"quantum"}}`, http.StatusBadRequest},
 		{`{"kind":"assemble","assemble":{"alg":"nosuch"}}`, http.StatusBadRequest},
 		{`{"kind":"area","area":{"table":9}}`, http.StatusBadRequest},

@@ -174,6 +174,9 @@ func (s Spec) Workload() (*Workload, error) {
 			Workers: s.Workers, Engine: engine, Lanes: lanes,
 		},
 	}
+	if err := w.Opts.Validate(); err != nil {
+		return nil, err
+	}
 	for _, name := range strings.Split(s.Algs, ",") {
 		alg, ok := march.ByName(strings.TrimSpace(name))
 		if !ok {

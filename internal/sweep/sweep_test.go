@@ -47,6 +47,11 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 		{Arch: "quantum"},
 		{Engine: "warp"},
 		{Lanes: "96"},
+		// Geometry outside the engines' bounds (coverage.Options.Validate).
+		{Width: 65},
+		{Width: -1},
+		{Ports: 257},
+		{Ports: -2},
 	} {
 		if _, err := s.Workload(); err == nil {
 			t.Errorf("Spec %+v resolved, want error", s)
