@@ -14,7 +14,6 @@ package mbist
 //	go run ./cmd/mbistbench -out BENCH_pr3.json
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/benchsuite"
@@ -52,15 +51,4 @@ func BenchmarkGradeLaneMetricsOn(b *testing.B) {
 // baseline — the overhead mbistd pays for distributable sweeps.
 func BenchmarkGradeSharded(b *testing.B) {
 	benchsuite.GradeSharded(b)
-}
-
-// BenchmarkGradeLaneWidth sweeps the logical lane width of the batch
-// engine — 64 (one plane) through 512 (eight planes) — on one worker;
-// EXPERIMENTS.md X10 records the resulting speedup curve. Run with
-//
-//	go test -bench=GradeLaneWidth -benchtime=20x
-func BenchmarkGradeLaneWidth(b *testing.B) {
-	for _, lanes := range []int{64, 128, 256, 512} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), benchsuite.GradeLaneWidth(lanes))
-	}
 }

@@ -9,7 +9,6 @@
 //	mbistcov -detail marchc
 //	mbistcov -arch microcode -workers 4 -cpuprofile grade.pprof -metrics
 //	mbistcov -engine scalar -detail marchc
-//	mbistcov -lanes 512 -workers 4
 //	mbistcov -size 1024 -width 8 -checkpoint state.json
 //	mbistcov -size 1024 -width 8 -checkpoint state.json -resume
 //	mbistcov -size 1024 -timeout 5m -checkpoint state.json
@@ -213,8 +212,8 @@ func run(spec sweep.Spec, detail, ckptPath string, ckptEvery int, resume bool, s
 // gradeAll grades the whole workload with optional checkpoint/resume.
 func gradeAll(ctx context.Context, w *sweep.Workload, ckptPath string, resume bool) ([]*mbist.CoverageReport, error) {
 	// The workload fingerprint binds a checkpoint to this exact run;
-	// worker count, engine and lanes are excluded — verdicts are
-	// byte-identical across all three, so a checkpoint resumes under any.
+	// worker count and engine are excluded — verdicts are
+	// byte-identical across both, so a checkpoint resumes under either.
 	payload := checkpointPayload{Algs: w.Names(), States: make(map[string]*mbist.CoverageState)}
 	fingerprint := w.Fingerprint()
 

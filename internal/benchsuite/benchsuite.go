@@ -80,14 +80,7 @@ func logicBIST(b *testing.B, engine func(*netlist.Netlist, int, int64) (*logicbi
 }
 
 func grade(b *testing.B, workers int, engine coverage.Engine) {
-	gradeOpts(b, coverage.Options{Size: 16, Workers: workers, Engine: engine})
-}
-
-func gradeLanes(b *testing.B, workers int, engine coverage.Engine, lanes int) {
-	gradeOpts(b, coverage.Options{Size: 16, Workers: workers, Engine: engine, Lanes: lanes})
-}
-
-func gradeOpts(b *testing.B, opts coverage.Options) {
+	opts := coverage.Options{Size: 16, Workers: workers, Engine: engine}
 	alg, ok := march.ByName("marchc")
 	if !ok {
 		b.Fatal("march library lost marchc")
@@ -112,18 +105,6 @@ func gradeOpts(b *testing.B, opts coverage.Options) {
 	// anything recorded earlier would be lost.
 	b.ReportMetric(rep.Overall.Percent(), "coverage%")
 	b.ReportMetric(float64(opts.Workers), "workers")
-}
-
-// GradeLaneWidth returns a benchmark of the lane engine pinned to an
-// explicit logical lane width on one worker — the sweep behind the
-// EXPERIMENTS.md X10 lanes × workers speedup curve. Reports stay
-// byte-identical across widths, so the curve isolates pure batching
-// throughput.
-func GradeLaneWidth(lanes int) func(*testing.B) {
-	return func(b *testing.B) {
-		gradeLanes(b, 1, coverage.EngineAuto, lanes)
-		b.ReportMetric(float64(lanes), "lanes")
-	}
 }
 
 // GradeSerial measures scalar functional-fault grading on one worker

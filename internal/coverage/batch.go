@@ -21,25 +21,34 @@ import (
 // expected value when the full clean stream is replayed". That lets
 // one replay of the captured stream grade a whole batch at once: lane 0
 // of a faults.LaneInjected is the good machine and logical lanes
-// 1..Lanes-1 each carry one fault; every read compares all lanes
+// 1..DefaultLanes-1 each carry one fault; every read compares all lanes
 // against the expected value in parallel and accumulates a per-plane
 // fail mask. gradeBatched narrows that replay twice: to the one or two
 // words a fault can touch, and to one lane per class of faults that
 // would replay identically (compile.go).
 
-// captureStream builds the architecture's runner, executes it once over
-// a Recorder-wrapped fault-free memory and returns the captured
-// operation stream. ok reports whether the capture matches the
-// canonical reference stream (march.FullStream on the same geometry) —
-// the guard the batched engine requires; a divergent capture (e.g. a
-// decomposed prog-FSM program) returns ok=false so the caller falls
-// back to the scalar oracle.
-func captureStream(alg march.Algorithm, arch Architecture, opts Options) ([]march.StreamOp, bool, error) {
+// referenceStream expands the canonical reference stream of the
+// workload: the stream march.Run issues on its geometry.
+func referenceStream(alg march.Algorithm, opts Options) []march.StreamOp {
+	return march.FullStream(alg, opts.Size, opts.Width, opts.Ports, opts.Width == 1)
+}
+
+// verifyStream runs the architecture's runner once over a
+// Recorder-wrapped fault-free memory and compares the captured
+// operation stream with the reference stream. ok reports a match, the
+// guard the batched engine requires, and ref is then the reference
+// stream; a divergent capture (e.g. a decomposed prog-FSM program)
+// returns ok=false so the caller falls back to the scalar oracle.
+func verifyStream(alg march.Algorithm, arch Architecture, opts Options) (ref []march.StreamOp, ok bool, err error) {
 	run, err := buildRunner(alg, arch, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	rec := &march.Recorder{Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports)}
+	ref = referenceStream(alg, opts)
+	rec := &march.Recorder{
+		Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports),
+		Ops: make([]march.StreamOp, 0, len(ref)),
+	}
 	detected, err := run(rec)
 	if err != nil {
 		return nil, false, fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
@@ -47,54 +56,48 @@ func captureStream(alg march.Algorithm, arch Architecture, opts Options) ([]marc
 	if detected {
 		return nil, false, fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
 	}
-	want := march.FullStream(alg, opts.Size, opts.Width, opts.Ports, opts.Width == 1)
-	if !streamsEqual(rec.Ops, want) {
+	if !streamsEqual(rec.Ops, ref) {
 		return nil, false, nil
 	}
-	return rec.Ops, true, nil
+	return ref, true, nil
 }
 
-// Captured streams (and their verification verdicts, including negative
-// ones) are deterministic per workload, so they are content-addressed
-// in the artifact cache and shared across Grade calls and service
-// requests: matrix sweeps and benchmark loops re-grade the same
-// (algorithm, architecture, geometry) many times, and re-running the
-// controller plus re-expanding the reference stream dominated the
-// per-call allocation budget. Entries are immutable once stored
-// (replay only reads the stream).
+// Verification verdicts (including negative ones) are deterministic
+// per (algorithm, architecture, geometry), so they are cached and
+// shared across Grade calls and service requests; the streams
+// themselves are dropped once compared. Only the verdict is
+// per-architecture: a verified stream equals the reference stream, so
+// every verified architecture shares one class plan (compile.go).
 type streamKey struct {
 	algFP              uint64
 	arch               Architecture
 	size, width, ports int
 }
 
-type streamEntry struct {
-	ops []march.StreamOp
-	ok  bool
-}
+// streamVerdictLimit bounds the verdict cache. An entry is one bool, so
+// the bound is set to cover the key space of a whole-library sweep over
+// every architecture and many geometries, not to save memory.
+const streamVerdictLimit = 1024
 
-var streamCache = artifact.New[streamKey, streamEntry]("stream", 0)
+var streamCache = artifact.New[streamKey, bool]("stream", streamVerdictLimit)
 
-// cachedCaptureStream is captureStream memoised on the workload key.
-// Errors are never cached (they may be transient panics of a chaos
-// hook's making — the artifact cache drops failed builds); verification
-// verdicts are, so a decomposed program pays its capture exactly once.
-func cachedCaptureStream(alg march.Algorithm, arch Architecture, opts Options) ([]march.StreamOp, bool, error) {
+// streamVerified is verifyStream's verdict, memoised on the workload
+// key. ref is the reference stream when this call built a passing
+// verdict, nil otherwise; the caller hands it to the plan build so a
+// cold grade expands it once. Errors are never cached (they may be
+// transient panics of a chaos hook's making — the artifact cache drops
+// failed builds); verdicts are, so a decomposed program pays its
+// capture exactly once.
+func streamVerified(alg march.Algorithm, arch Architecture, opts Options) (ok bool, ref []march.StreamOp, err error) {
 	key := streamKey{
 		algFP: march.Fingerprint(alg), arch: arch,
 		size: opts.Size, width: opts.Width, ports: opts.Ports,
 	}
-	e, err := streamCache.Get(key, func() (streamEntry, error) {
-		ops, ok, err := captureStream(alg, arch, opts)
-		if err != nil {
-			return streamEntry{}, err
-		}
-		return streamEntry{ops: ops, ok: ok}, nil
+	ok, err = streamCache.Get(key, func() (ok bool, err error) {
+		ref, ok, err = verifyStream(alg, arch, opts)
+		return ok, err
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return e.ops, e.ok, nil
+	return ok, ref, err
 }
 
 func streamsEqual(a, b []march.StreamOp) bool {
@@ -109,50 +112,47 @@ func streamsEqual(a, b []march.StreamOp) bool {
 	return true
 }
 
-// localScratch is one grading worker's replay state: the 2-word local
-// arena batches replay on and the projection buffer. It outlives the
-// grade in a small pool keyed by geometry (getScratch), because the
-// arena's fault tables and the buffer already hold the capacity the
-// next grade of the same workload needs.
-type localScratch struct {
-	mem *faults.LaneInjected
-	ops []faults.UOp
-}
-
+// Lane arenas outlive the grade in a small pool keyed by geometry
+// (getScratch), because an arena's fault tables already hold the
+// capacity the next grade of the same workload needs. Every arena is a
+// 2-word memory of batchPlanes planes.
 type scratchKey struct {
-	width, ports, planes int
+	width, ports int
 }
 
 var (
 	scratchMu   sync.Mutex
-	scratchPool = map[scratchKey][]*localScratch{}
+	scratchPool = map[scratchKey][]*faults.LaneInjected{}
 	scratchN    int
 )
 
-// scratchPoolLimit bounds the pooled scratches across all keys.
+// scratchPoolLimit bounds the pooled arenas across all keys.
 const scratchPoolLimit = 32
 
-// getScratch takes a pooled scratch for the geometry, or a fresh one
-// whose arena the first batch builds.
-func getScratch(k scratchKey) *localScratch {
+// getScratch takes a pooled arena for the geometry, or nil: the first
+// batch then builds one.
+func getScratch(k scratchKey) *faults.LaneInjected {
 	scratchMu.Lock()
+	defer scratchMu.Unlock()
 	list := scratchPool[k]
-	if n := len(list); n > 0 {
-		s := list[n-1]
-		list[n-1] = nil
-		scratchPool[k] = list[:n-1]
-		scratchN--
-		scratchMu.Unlock()
-		return s
+	n := len(list)
+	if n == 0 {
+		return nil
 	}
-	scratchMu.Unlock()
-	return &localScratch{}
+	m := list[n-1]
+	list[n-1] = nil
+	scratchPool[k] = list[:n-1]
+	scratchN--
+	return m
 }
 
-// putScratch returns a scratch to the pool. Keys whose lists drained
+// putScratch returns an arena to the pool. Keys whose lists drained
 // keep their (empty) slices so the steady get/put cycle allocates
 // nothing; they are swept when the pool is full.
-func putScratch(k scratchKey, s *localScratch) {
+func putScratch(k scratchKey, m *faults.LaneInjected) {
+	if m == nil {
+		return
+	}
 	scratchMu.Lock()
 	defer scratchMu.Unlock()
 	if scratchN >= scratchPoolLimit {
@@ -163,50 +163,42 @@ func putScratch(k scratchKey, s *localScratch) {
 		}
 		return
 	}
-	scratchPool[k] = append(scratchPool[k], s)
+	scratchPool[k] = append(scratchPool[k], m)
 	scratchN++
 }
 
 // gradeBatched grades the universe one lane per projection class (see
-// compile.go): each batch replays the compiled stream projected onto
-// one support on a 2-word local arena, and each lane's verdict commits
-// to its class's pending members. Reports — including the Missed
-// ordering — are byte-identical to the scalar oracle at any worker
-// count or lane width: verdicts commit through universe indices, and
-// the report is assembled in universe order. A panic anywhere in a
-// batch (hook, injector or replay) fails only that batch: each of its
-// pending members is retried individually on the scalar oracle and
-// quarantined if it panics again. Cancellation stops the claim loop at
-// the next batch boundary.
-func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
-	universe := r.universe
+// compile.go): each batch replays one projection on a 2-word arena,
+// and each lane's verdict commits to its class's pending members. ref
+// is the reference stream when the caller has just expanded it, or nil
+// (see cachedClassPlan). Reports — including the Missed ordering — are
+// byte-identical to the scalar oracle at any worker count: verdicts
+// commit through universe indices, and the report is assembled in
+// universe order. A panic anywhere in a batch (hook, injector or
+// replay) fails only that batch: each of its pending members is
+// retried individually on the scalar oracle and quarantined if it
+// panics again. Cancellation stops the claim loop at the next batch
+// boundary.
+func (r *gradeRun) gradeBatched(ref []march.StreamOp) error {
 	reg := obs.Active()
-	cs, err := cachedCompiledStream(r.alg, r.opts, stream)
+	plan, err := cachedClassPlan(r.alg, r.opts, r.u, ref)
 	if err != nil {
-		return fmt.Errorf("coverage: %s on %s: verified stream fails µop validation: %w", r.alg.Name, r.arch, err)
-	}
-	// Batches check the good machine only on their own words, so the
-	// whole stream's check, run once when it was compiled, gates every
-	// grade.
-	if err := cs.GoodMachineErr(); err != nil {
 		return fmt.Errorf("coverage: %s on %s: %w", r.alg.Name, r.arch, err)
 	}
 	reg.Counter("coverage.compiled_streams").Add(1)
-	plan := cachedClassPlan(r.alg, r.opts, universe, cs)
 	batches := len(plan.batches)
 	workers := min(r.opts.Workers, batches)
 	reg.Gauge("coverage.workers").Set(int64(workers))
-	reg.Gauge("coverage.lane_width").Set(int64(r.opts.Lanes))
 	mBatches := reg.Counter("coverage.batches_replayed")
 	mLanes := reg.Span("coverage.batch_lanes")
 	mBatch := reg.Span("coverage.batch_ns")
 	mClassLanes := reg.Counter("coverage.class_lanes")
-	skey := scratchKey{width: r.opts.Width, ports: r.opts.Ports, planes: r.opts.Lanes / 64}
+	skey := scratchKey{width: r.opts.Width, ports: r.opts.Ports}
 
-	// gradeOne replays one batch on a worker's scratch; a panic escapes
+	// gradeOne replays one batch on a worker's arena; a panic escapes
 	// as a *PanicError for the caller's scalar retry, and drops the
-	// scratch's arena, which may be mid-mutation.
-	gradeOne := func(b int, sc *localScratch) error {
+	// arena, which may be mid-mutation.
+	gradeOne := func(b int, arena **faults.LaneInjected) error {
 		bt := &plan.batches[b]
 		pending := 0
 		for _, i := range plan.membersOf(bt) {
@@ -229,14 +221,14 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 					}
 				}
 			}
-			if sc.mem == nil {
-				sc.mem = faults.NewLaneInjectedPlanes(2, skey.width, skey.ports, skey.planes, nil)
+			if *arena == nil {
+				*arena = faults.NewLaneInjectedPlanes(2, skey.width, skey.ports, batchPlanes, nil)
 			}
-			sc.mem.ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
-			sc.ops, rerr = sc.mem.ReplayProjected(cs, bt.words[:bt.n], sc.ops, &fail)
+			(*arena).ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
+			_, rerr = (*arena).Replay(plan.projs[bt.proj], &fail)
 		})
 		if perr != nil {
-			sc.mem = nil
+			*arena = nil
 			return perr
 		}
 		if rerr != nil {
@@ -251,13 +243,13 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		return nil
 	}
 
-	scratch := make([]*localScratch, max(workers, 1))
-	for w := range scratch {
-		scratch[w] = getScratch(skey)
+	arenas := make([]*faults.LaneInjected, max(workers, 1))
+	for w := range arenas {
+		arenas[w] = getScratch(skey)
 	}
 	defer func() {
-		for _, sc := range scratch {
-			putScratch(skey, sc)
+		for _, m := range arenas {
+			putScratch(skey, m)
 		}
 	}()
 	// A batch whose lane replay panics degrades to the scalar oracle:
@@ -267,7 +259,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	// hook blew up first), so the scalar attempt may be the member's
 	// first.
 	return r.claimLoop(batches, workers, func(w, b int) error {
-		err := gradeOne(b, scratch[w])
+		err := gradeOne(b, &arenas[w])
 		if _, ok := resilience.AsPanic(err); !ok {
 			return err
 		}

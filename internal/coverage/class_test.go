@@ -72,7 +72,7 @@ func TestSlicedMatchesWholeAndScalar(t *testing.T) {
 					alg, _ := march.ByName(name)
 					what := fmt.Sprintf("%s on %s %dx%dx%d", name, arch, g.size, g.width, g.ports)
 					opts := Options{Size: g.size, Width: g.width, Ports: g.ports}
-					if _, ok, err := cachedCaptureStream(alg, arch, opts); err != nil {
+					if ok, _, err := streamVerified(alg, arch, opts); err != nil {
 						t.Fatal(err)
 					} else if ok && !raceflag.Enabled {
 						if exhaustive[name] == nil {
@@ -127,11 +127,11 @@ func TestClassMatchesOnRandomMarches(t *testing.T) {
 	}
 }
 
-// TestClassAcrossLanesShardsResume pins class grading at every lane
-// width and worker count, through a 3-shard merge and through a run
+// TestClassAcrossWorkersShardsResume pins class grading at one and
+// GOMAXPROCS workers, through a 3-shard merge and through a run
 // resumed from a mid-run checkpoint: all land on the scalar oracle's
 // report.
-func TestClassAcrossLanesShardsResume(t *testing.T) {
+func TestClassAcrossWorkersShardsResume(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	opts := Options{Size: 32, Width: 4, Ports: 2, Workers: 1}
 	scalar := opts
@@ -140,13 +140,11 @@ func TestClassAcrossLanesShardsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lanes := range []int{64, 128, 256, 512} {
-		for _, workers := range []int{1, 0} {
-			o := opts
-			o.Lanes, o.Workers = lanes, workers
-			if got, err := Grade(alg, Microcode, o); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("lanes=%d workers=%d differs from scalar (err %v)", lanes, workers, err)
-			}
+	for _, workers := range []int{1, 0} {
+		o := opts
+		o.Workers = workers
+		if got, err := Grade(alg, Microcode, o); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d differs from scalar (err %v)", workers, err)
 		}
 	}
 
@@ -188,22 +186,22 @@ func TestClassAcrossLanesShardsResume(t *testing.T) {
 // TestClassGradeChecksWholeGoodMachine pins the whole-stream
 // good-machine check: a stream whose wrong expected read hits a word
 // no sampled fault touches passes every class batch, so only the check
-// run when the stream is compiled can fail the grade.
+// run when the plan is built can fail the grade.
 func TestClassGradeChecksWholeGoodMachine(t *testing.T) {
-	compiledCache.Flush()
-	defer compiledCache.Flush()
+	planCache.Flush()
+	defer planCache.Flush()
 	alg, _ := march.ByName("marchc")
 	opts := Options{Size: 32, Workers: 1, Universe: faults.UniverseOpts{CellSample: 2, CouplingPairs: 2, AddrSample: 1, Seed: 5}}
 	opts.normalise()
-	universe := cachedUniverse(opts)
+	u := cachedUniverse(opts)
 	touched := map[int32]bool{}
-	for _, f := range universe {
+	for _, f := range u.faults {
 		w, n := faults.Support(f, opts.Width)
 		for _, a := range w[:n] {
 			touched[a] = true
 		}
 	}
-	stream, ok, err := captureStream(alg, Microcode, opts)
+	stream, ok, err := verifyStream(alg, Microcode, opts)
 	if err != nil || !ok {
 		t.Fatalf("capture: ok=%v err=%v", ok, err)
 	}
@@ -219,7 +217,7 @@ func TestClassGradeChecksWholeGoodMachine(t *testing.T) {
 	if corrupted < 0 {
 		t.Fatal("every word is touched by the sampled universe")
 	}
-	r, err := newGradeRun(context.Background(), alg, Microcode, opts, universe)
+	r, err := newGradeRun(context.Background(), alg, Microcode, opts, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +253,12 @@ func TestClassPlanKeyedByAlgorithm(t *testing.T) {
 		if want[i], err = Grade(algs[i], Microcode, scalar); err != nil {
 			t.Fatal(err)
 		}
-		stream, ok, err := cachedCaptureStream(algs[i], Microcode, opts)
-		if err != nil || !ok {
+		if ok, _, err := streamVerified(algs[i], Microcode, opts); err != nil || !ok {
 			t.Fatalf("%s: capture ok=%v err=%v", text, ok, err)
 		}
-		cs, err := cachedCompiledStream(algs[i], opts, stream)
-		if err != nil {
+		if plans[i], err = cachedClassPlan(algs[i], opts, cachedUniverse(opts), nil); err != nil {
 			t.Fatal(err)
 		}
-		plans[i] = buildClassPlan(cachedPartition(opts, cachedUniverse(opts)), cs, opts.Lanes/64)
 	}
 	if reflect.DeepEqual(plans[0].faults, plans[1].faults) && reflect.DeepEqual(plans[0].memberStart, plans[1].memberStart) {
 		t.Fatal("both algorithms have the same class table; the test needs two that differ")
@@ -309,15 +304,13 @@ func TestClassMemberPanicQuarantinesOnlyIt(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	opts := Options{Size: 32, Width: 4}
 	opts.normalise()
-	stream, ok, err := cachedCaptureStream(alg, Microcode, opts)
-	if err != nil || !ok {
+	if ok, _, err := streamVerified(alg, Microcode, opts); err != nil || !ok {
 		t.Fatalf("capture ok=%v err=%v", ok, err)
 	}
-	cs, err := cachedCompiledStream(alg, opts, stream)
+	plan, err := cachedClassPlan(alg, opts, cachedUniverse(opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := cachedClassPlan(alg, opts, cachedUniverse(opts), cs)
 	big := 0
 	for c := range plan.faults {
 		if plan.memberStart[c+1]-plan.memberStart[c] > plan.memberStart[big+1]-plan.memberStart[big] {
@@ -380,7 +373,7 @@ func TestClassPlanKeysOnData(t *testing.T) {
 	if p.loc[0] != p.loc[1] {
 		t.Fatal("the two SA0 faults localise differently; the test needs them equal")
 	}
-	if plan := buildClassPlan(p, cs, 1); len(plan.faults) != 2 {
+	if plan, err := buildClassPlan(p, cs); err != nil || len(plan.faults) != 2 {
 		t.Fatalf("%d classes, want 2: projections differing only in data were merged", len(plan.faults))
 	}
 }

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/artifact"
@@ -8,75 +9,23 @@ import (
 	"repro/internal/march"
 )
 
-// Stream compilation and class planning for the lane engine.
+// Class planning for the lane engine.
 //
-// The stream is lowered once per (algorithm, geometry) into a
-// validated faults.CompiledStream (bounds proven at compile time, cell
-// indices pre-resolved, a per-word µop index built). The universe is
-// then graded by projection class: two faults are in one class when
-// their supports (the one or two words each can touch) project the
-// stream to the same µop sequence and their localised forms are equal.
-// ReplayProjected's verdict for a lane depends on nothing else, so one
-// lane per class decides every member.
+// Two faults are in one projection class when their supports (the one
+// or two words each can touch) project the stream to the same µop
+// sequence (faults.CompiledStream.Project) and their localised forms
+// are equal. A lane's verdict on a projected replay depends on nothing
+// else, so one lane per class decides every member.
 //
-// The plan is built as two cached artifacts:
-//
-//   - a partition per universe, independent of the stream: each fault's
-//     support group, and its localised form interned to a small ID
-//     (buildPartition);
-//   - a class plan per compiled stream: a projection ID per support
-//     group, the classes with their member lists, and the batches that
-//     pack one lane per class (buildClassPlan).
-
-// compiledKey content-addresses a compiled stream. The architecture is
-// deliberately absent: the batched engine only runs streams verified
-// equal to the canonical reference stream (see captureStream), so every
-// architecture that passes verification shares one compilation.
-type compiledKey struct {
-	algFP              uint64
-	size, width, ports int
-}
-
-var compiledCache = artifact.New[compiledKey, *faults.CompiledStream]("uops", 0)
-
-// cachedCompiledStream lowers a verified captured stream to µops,
-// memoised on the workload key.
-func cachedCompiledStream(alg march.Algorithm, opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
-	return compiledCache.Get(streamKeyOf(alg, opts), func() (*faults.CompiledStream, error) {
-		return compileStream(opts, stream)
-	})
-}
-
-func streamKeyOf(alg march.Algorithm, opts Options) compiledKey {
-	return compiledKey{algFP: march.Fingerprint(alg), size: opts.Size, width: opts.Width, ports: opts.Ports}
-}
-
-// compileStream lowers march.StreamOps into the flat µop form:
-// pre-resolved first-cell indices, expected-value words and validated
-// port/address bounds. Options.Validate keeps ports within the µop's
-// port byte.
-func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
-	uops := make([]faults.UOp, len(stream))
-	for i, op := range stream {
-		switch {
-		case op.Pause:
-			uops[i] = faults.UOp{Kind: faults.UOpPause}
-		case op.Write:
-			uops[i] = faults.UOp{
-				Kind: faults.UOpWrite, Port: uint8(op.Port),
-				Addr: int32(op.Addr), Cell: int32(op.Addr * opts.Width),
-				Data: op.Data,
-			}
-		default:
-			uops[i] = faults.UOp{
-				Kind: faults.UOpRead, Port: uint8(op.Port),
-				Addr: int32(op.Addr), Cell: int32(op.Addr * opts.Width),
-				Data: op.Data,
-			}
-		}
-	}
-	return faults.NewCompiledStream(opts.Size, opts.Width, opts.Ports, uops)
-}
+// The plan is cached per (algorithm, geometry, universe options). Its
+// build lowers the reference stream to validated µops, checks the
+// fault-free machine on the whole stream, projects every support group
+// of the universe's partition, and keeps each distinct projection as a
+// 2-word CompiledStream that batches replay directly. The whole stream
+// and its compilation are dropped once the plan is built. The
+// architecture is absent from the key: the lane engine only runs
+// architectures whose captured stream equals the reference stream
+// (verifyStream), so they all share one plan.
 
 // supportGroup is one support of a partition: words[:n], ascending.
 type supportGroup struct {
@@ -93,16 +42,6 @@ type partition struct {
 	loc    []int32
 	groups []supportGroup
 	local  []faults.Fault
-}
-
-var partitionCache = artifact.New[universeKey, *partition]("partition", 0)
-
-func cachedPartition(opts Options, universe []faults.Fault) *partition {
-	key := universeKey{size: opts.Size, width: opts.Width, opts: opts.Universe}
-	p, _ := partitionCache.Get(key, func() (*partition, error) {
-		return buildPartition(universe, opts.Width), nil
-	})
-	return p
 }
 
 // buildPartition groups the universe by support and interns every
@@ -157,25 +96,29 @@ func countingSort(key []int32, buckets int) []int32 {
 	return dst
 }
 
-// classPlan is a universe's projection classes under one compiled
-// stream. Class c replays faults[c] on one lane; its verdict belongs
-// to the universe indices members[memberStart[c]:memberStart[c+1]].
-// Classes sharing a projection are numbered consecutively, and each
-// batch packs a run of them, so one batch replays one projection.
+// batchPlanes is the plane count of every lane arena: DefaultLanes
+// logical lanes.
+const batchPlanes = DefaultLanes / 64
+
+// classPlan is a universe's projection classes under one stream. Class
+// c replays faults[c] on one lane; its verdict belongs to the universe
+// indices members[memberStart[c]:memberStart[c+1]]. Classes sharing a
+// projection are numbered consecutively, and each batch packs a run of
+// them, so one batch replays one projection.
 type classPlan struct {
 	faults      []faults.Fault
 	memberStart []int32
 	members     []int32
 	batches     []classBatch
+	// projs holds each distinct projection as a 2-word stream.
+	projs []*faults.CompiledStream
 }
 
-// classBatch grades classes [lo, hi) on the stream projected onto
-// words[:n]; class lo+k rides logical lane k+1, and the batch replays
-// planes bit-planes.
+// classBatch grades classes [lo, hi) on projs[proj]; class lo+k rides
+// logical lane k+1, and the batch replays planes bit-planes.
 type classBatch struct {
 	lo, hi int32
-	words  [2]int32
-	n      int32
+	proj   int32
 	planes int32
 }
 
@@ -184,38 +127,79 @@ func (p *classPlan) membersOf(b *classBatch) []int32 {
 	return p.members[p.memberStart[b.lo]:p.memberStart[b.hi]]
 }
 
-// planKey content-addresses a class plan: the compiled stream, the
-// universe it partitions and the lane width bounding batch capacity.
-// The stream key carries the algorithm, so two algorithms on one
-// geometry never share classes.
+// planKey content-addresses a class plan: the algorithm, the geometry
+// and the universe options. The algorithm fingerprint is in the key,
+// so two algorithms on one geometry never share classes.
 type planKey struct {
-	stream compiledKey
-	uopts  faults.UniverseOpts
-	lanes  int
+	algFP              uint64
+	size, width, ports int
+	uopts              faults.UniverseOpts
 }
 
 var planCache = artifact.New[planKey, *classPlan]("plan", 0)
 
-func cachedClassPlan(alg march.Algorithm, opts Options, universe []faults.Fault, cs *faults.CompiledStream) *classPlan {
-	key := planKey{stream: streamKeyOf(alg, opts), uopts: opts.Universe, lanes: opts.Lanes}
-	plan, _ := planCache.Get(key, func() (*classPlan, error) {
-		return buildClassPlan(cachedPartition(opts, universe), cs, opts.Lanes/64), nil
+// cachedClassPlan returns the class plan of the workload. ref is the
+// reference stream if the caller has just expanded it (see
+// streamVerified), or nil; a plan build without it expands the stream
+// again.
+func cachedClassPlan(alg march.Algorithm, opts Options, u *faultUniverse, ref []march.StreamOp) (*classPlan, error) {
+	key := planKey{
+		algFP: march.Fingerprint(alg),
+		size:  opts.Size, width: opts.Width, ports: opts.Ports,
+		uopts: opts.Universe,
+	}
+	return planCache.Get(key, func() (*classPlan, error) {
+		if ref == nil {
+			ref = referenceStream(alg, opts)
+		}
+		cs, err := compileStream(opts, ref)
+		if err != nil {
+			return nil, fmt.Errorf("verified stream fails µop validation: %w", err)
+		}
+		// Batches check the good machine only on their own words, so
+		// the whole stream's check, run here once, gates every grade.
+		if err := cs.GoodMachineErr(); err != nil {
+			return nil, err
+		}
+		return buildClassPlan(u.partition(), cs)
 	})
-	return plan
+}
+
+// compileStream lowers march.StreamOps into the flat µop form:
+// pre-resolved first-cell indices, expected-value words and validated
+// port/address bounds. Options.Validate keeps ports within the µop's
+// port byte.
+func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
+	uops := make([]faults.UOp, len(stream))
+	for i, op := range stream {
+		u := faults.UOp{
+			Kind: faults.UOpRead, Port: uint8(op.Port),
+			Addr: int32(op.Addr), Cell: int32(op.Addr * opts.Width),
+			Data: op.Data,
+		}
+		switch {
+		case op.Pause:
+			u = faults.UOp{Kind: faults.UOpPause}
+		case op.Write:
+			u.Kind = faults.UOpWrite
+		}
+		uops[i] = u
+	}
+	return faults.NewCompiledStream(opts.Size, opts.Width, opts.Ports, uops)
 }
 
 // buildClassPlan classes a partition under a compiled stream. Each
 // support group's projection is compared µop by µop with the distinct
-// projections seen so far (hash first); classes are then numbered
-// projection by projection, in universe order, and split into batches
-// of at most BatchLimit(maxPlanes) lanes. A class's members are in
-// universe order.
-func buildClassPlan(p *partition, cs *faults.CompiledStream, maxPlanes int) *classPlan {
+// projections seen so far (hash first), and each distinct one is
+// compiled as a 2-word stream; classes are then numbered projection by
+// projection, in universe order, and split into batches of at most
+// BatchLimit(batchPlanes) lanes. A class's members are in universe
+// order.
+func buildClassPlan(p *partition, cs *faults.CompiledStream) (*classPlan, error) {
 	proj := make([]int32, len(p.groups))
 	var (
 		seqs     []faults.UOp
-		seqStart = []int32{0}
-		rep      []int32 // a group of each projection
+		seqStart = []int32{0} // projection c is seqs[seqStart[c]:seqStart[c+1]]
 		byHash   = map[uint64][]int32{}
 		buf      []faults.UOp
 	)
@@ -230,10 +214,9 @@ func buildClassPlan(p *partition, cs *faults.CompiledStream, maxPlanes int) *cla
 			}
 		}
 		if id < 0 {
-			id = int32(len(rep))
+			id = int32(len(seqStart) - 1)
 			seqs = append(seqs, buf...)
 			seqStart = append(seqStart, int32(len(seqs)))
-			rep = append(rep, int32(g))
 			byHash[h] = append(byHash[h], id)
 		}
 		proj[g] = id
@@ -253,7 +236,7 @@ func buildClassPlan(p *partition, cs *faults.CompiledStream, maxPlanes int) *cla
 	}
 	classOf := faultProj // reused: each entry is read before it is overwritten
 	var classLoc, classProj, count []int32
-	for _, i := range countingSort(faultProj, len(rep)) {
+	for _, i := range countingSort(faultProj, len(seqStart)-1) {
 		pj, l := faultProj[i], p.loc[i]
 		if stamp[l] != pj {
 			stamp[l], cls[l] = pj, int32(len(classLoc))
@@ -265,10 +248,18 @@ func buildClassPlan(p *partition, cs *faults.CompiledStream, maxPlanes int) *cla
 		count[cls[l]]++
 	}
 
+	_, width, ports := cs.Geometry()
 	plan := &classPlan{
 		faults:      make([]faults.Fault, len(classLoc)),
 		memberStart: make([]int32, len(classLoc)+1),
 		members:     make([]int32, len(p.group)),
+		projs:       make([]*faults.CompiledStream, len(seqStart)-1),
+	}
+	for pj := range plan.projs {
+		var err error
+		if plan.projs[pj], err = faults.NewCompiledStream(2, width, ports, seqs[seqStart[pj]:seqStart[pj+1]]); err != nil {
+			return nil, fmt.Errorf("projection %d fails µop validation: %w", pj, err)
+		}
 	}
 	for c, l := range classLoc {
 		plan.faults[c] = p.local[l]
@@ -281,22 +272,21 @@ func buildClassPlan(p *partition, cs *faults.CompiledStream, maxPlanes int) *cla
 		fill[c]++
 	}
 
-	capacity := int32(faults.BatchLimit(maxPlanes))
+	capacity := int32(faults.BatchLimit(batchPlanes))
 	for lo := int32(0); lo < int32(len(classLoc)); {
 		pj := classProj[lo]
 		hi := lo + 1
 		for hi < int32(len(classLoc)) && hi-lo < capacity && classProj[hi] == pj {
 			hi++
 		}
-		g := p.groups[rep[pj]]
 		plan.batches = append(plan.batches, classBatch{
-			lo: lo, hi: hi, words: g.words, n: g.n,
+			lo: lo, hi: hi, proj: pj,
 			// Lanes 1..hi-lo are occupied; lane 0 is the good machine.
-			planes: min((hi-lo+64)/64, int32(maxPlanes)),
+			planes: min((hi-lo+64)/64, batchPlanes),
 		})
 		lo = hi
 	}
-	return plan
+	return plan, nil
 }
 
 // hashUOps is FNV-1a over the fields replay reads, two words per µop.

@@ -11,9 +11,9 @@ import (
 
 // TestCompiledReplayMatchesScalar is the acceptance property of the
 // compiled replay path: for every architecture and every algorithm in
-// the march library, at the narrowest and widest lane widths and at
-// serial and GOMAXPROCS worker counts, grading on the lane engine must
-// produce a Report byte-identical to the scalar oracle.
+// the march library, at serial and GOMAXPROCS worker counts, grading
+// on the lane engine must produce a Report byte-identical to the
+// scalar oracle.
 func TestCompiledReplayMatchesScalar(t *testing.T) {
 	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
@@ -27,19 +27,17 @@ func TestCompiledReplayMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: scalar: %v", name, arch, err)
 			}
-			for _, lanes := range []int{64, 512} {
-				for _, workers := range []int{1, 0} {
-					got, err := Grade(alg, arch, Options{Size: 8, Lanes: lanes, Workers: workers})
-					if err != nil {
-						t.Fatalf("%s on %s lanes=%d workers=%d: compiled: %v", name, arch, lanes, workers, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s on %s lanes=%d workers=%d: compiled report differs from scalar:\ngot  %v\nwant %v",
-							name, arch, lanes, workers, got, want)
-					}
-					if got.String() != want.String() {
-						t.Errorf("%s on %s lanes=%d workers=%d: rendered report differs", name, arch, lanes, workers)
-					}
+			for _, workers := range []int{1, 0} {
+				got, err := Grade(alg, arch, Options{Size: 8, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s on %s workers=%d: compiled: %v", name, arch, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s on %s workers=%d: compiled report differs from scalar:\ngot  %v\nwant %v",
+						name, arch, workers, got, want)
+				}
+				if got.String() != want.String() {
+					t.Errorf("%s on %s workers=%d: rendered report differs", name, arch, workers)
 				}
 			}
 		}

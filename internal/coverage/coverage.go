@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/faults"
@@ -94,16 +95,6 @@ type Options struct {
 	// Engine selects the fault-simulation engine (default EngineAuto).
 	//mbist:fingerprint-exclude engines are validated byte-identical; a throughput knob, not workload identity
 	Engine Engine
-	// Lanes sets the batched engine's logical lane width — how many
-	// machines (1 good + Lanes-1 faulty) one stream replay carries,
-	// packed into Lanes/64 uint64 bit-planes per cell. Valid values are
-	// 64, 128, 256 and 512; 0 means DefaultLanes. The report is
-	// byte-identical at any lane width (verdicts commit in universe
-	// order), so this is purely a throughput knob; it is ignored by the
-	// scalar engine and excluded from Fingerprint.
-	//mbist:fingerprint-exclude lane width only re-partitions batches; verdicts commit in universe order
-	Lanes int
-
 	// FaultHook, when non-nil, is called with each fault's universe
 	// index immediately before that fault is graded (once per occupied
 	// lane at batch start on the batched engine). It is the chaos
@@ -137,11 +128,12 @@ type Options struct {
 	Resume *State
 }
 
-// DefaultLanes is the lane width Options.Lanes == 0 selects: 256 lanes
-// (4 bit-planes), the winner of the EXPERIMENTS.md X10 sweep when
-// batches replayed the whole stream. Batches now replay a 1–2-word
-// projection, one lane per class, so the width mostly sets how many
-// classes share one replay; reports are identical at every width.
+// DefaultLanes is the lane engine's logical lane width: 256 lanes (4
+// bit-planes) per replay, one good machine and 255 classes. Batches
+// replay a 1–2-word projection, so the width only sets how many
+// classes share one replay: warm grades at 64 to 512 lanes measured
+// within noise of each other on most workloads (EXPERIMENTS.md X10),
+// and reports are identical at every width.
 const DefaultLanes = 256
 
 func (o *Options) normalise() {
@@ -157,33 +149,27 @@ func (o *Options) normalise() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Lanes == 0 {
-		o.Lanes = DefaultLanes
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 256
 	}
 	o.Universe.Ports = o.Ports
 }
 
-// Validate rejects option values that cannot be defaulted away: a word
-// width outside [1,64] (a word is one uint64), a port count outside
-// [1,256] (µops carry the port in a byte) and a lane width other than
-// 64, 128, 256 or 512. Zero selects the default. Every grading entry
-// point calls it; drivers call it to refuse a workload up front.
+// Validate rejects option values that cannot be defaulted away: a
+// negative size, a word width outside [1,64] (a word is one uint64)
+// and a port count outside [1,256] (µops carry the port in a byte).
+// Zero selects the default. Every grading entry point calls it; drivers
+// call it to refuse a workload up front.
 func (o Options) Validate() error {
 	switch {
+	case o.Size < 0:
+		return fmt.Errorf("coverage: negative memory size %d", o.Size)
 	case o.Width < 0 || o.Width > 64:
 		return fmt.Errorf("coverage: word width %d outside [1,64]", o.Width)
 	case o.Ports < 0 || o.Ports > 256:
 		return fmt.Errorf("coverage: %d ports outside [1,256]", o.Ports)
 	}
-	switch o.Lanes {
-	case 0, 64, 128, 256, 512:
-		return nil
-	default:
-		return fmt.Errorf("coverage: lane width %d not one of 64, 128, 256, 512", o.Lanes)
-	}
+	return nil
 }
 
 // Ratio is detected-over-total.
@@ -254,20 +240,37 @@ func GradeContext(ctx context.Context, alg march.Algorithm, arch Architecture, o
 // they are content-addressed in the artifact cache and shared across
 // Grade calls and service requests: matrix sweeps and benchmark loops
 // re-enumerate the same universe thousands of times, and the
-// enumeration was a fixed per-call allocation cost. Cached slices are
-// shared — grading only reads them. Concurrent first requests (service
-// traffic) enumerate exactly once (artifact singleflight).
+// enumeration was a fixed per-call allocation cost. Cached universes
+// are shared — grading only reads them. Concurrent first requests
+// (service traffic) enumerate exactly once (artifact singleflight).
 type universeKey struct {
 	size, width int
 	opts        faults.UniverseOpts
 }
 
-var universeCache = artifact.New[universeKey, []faults.Fault]("universe", 0)
+// faultUniverse is a cached universe. Its support partition
+// (compile.go), which only the lane engine reads, is built on first
+// use and kept with it.
+type faultUniverse struct {
+	faults   []faults.Fault
+	width    int
+	partOnce sync.Once
+	part     *partition
+}
 
-func cachedUniverse(opts Options) []faults.Fault {
+// partition returns the universe's support partition, building it on
+// the first call.
+func (u *faultUniverse) partition() *partition {
+	u.partOnce.Do(func() { u.part = buildPartition(u.faults, u.width) })
+	return u.part
+}
+
+var universeCache = artifact.New[universeKey, *faultUniverse]("universe", 0)
+
+func cachedUniverse(opts Options) *faultUniverse {
 	key := universeKey{size: opts.Size, width: opts.Width, opts: opts.Universe}
-	u, _ := universeCache.Get(key, func() ([]faults.Fault, error) {
-		return faults.Universe(opts.Size, opts.Width, opts.Universe), nil
+	u, _ := universeCache.Get(key, func() (*faultUniverse, error) {
+		return &faultUniverse{faults: faults.Universe(opts.Size, opts.Width, opts.Universe), width: opts.Width}, nil
 	})
 	return u
 }
@@ -277,7 +280,7 @@ func cachedUniverse(opts Options) []faults.Fault {
 // (e.g. the grading service) reports against before the run finishes.
 func UniverseSize(opts Options) int {
 	opts.normalise()
-	return len(cachedUniverse(opts))
+	return len(cachedUniverse(opts).faults)
 }
 
 // GradeSerial grades with the scalar per-fault engine: one injected
@@ -292,10 +295,10 @@ func GradeSerial(alg march.Algorithm, arch Architecture, opts Options) (*Report,
 
 // gradeUniverse grades a pre-enumerated universe; opts must be
 // normalised and the universe enumerated with opts.Universe on the
-// opts geometry. Matrix and Select use it to enumerate the fault
-// universe once per geometry and share it across Grade calls.
-func gradeUniverse(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options, universe []faults.Fault) (*Report, error) {
-	r, err := newGradeRun(ctx, alg, arch, opts, universe)
+// opts geometry. Matrix uses it to enumerate the fault universe once
+// per geometry and share it across Grade calls.
+func gradeUniverse(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options, u *faultUniverse) (*Report, error) {
+	r, err := newGradeRun(ctx, alg, arch, opts, u)
 	if err != nil {
 		return nil, err
 	}
@@ -310,12 +313,12 @@ func gradeUniverse(ctx context.Context, alg march.Algorithm, arch Architecture, 
 // stream matches the reference stream, the scalar oracle otherwise.
 func (r *gradeRun) runEngine() error {
 	if r.opts.Engine == EngineAuto {
-		stream, ok, err := cachedCaptureStream(r.alg, r.arch, r.opts)
+		ok, ref, err := streamVerified(r.alg, r.arch, r.opts)
 		if err != nil {
 			return err
 		}
 		if ok {
-			return r.gradeBatched(stream)
+			return r.gradeBatched(ref)
 		}
 		// The captured stream diverged from the reference stream (e.g.
 		// a decomposed prog-FSM program): grade with the scalar oracle.

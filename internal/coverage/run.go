@@ -23,7 +23,8 @@ type gradeRun struct {
 	alg      march.Algorithm
 	arch     Architecture
 	opts     Options
-	universe []faults.Fault
+	u        *faultUniverse
+	universe []faults.Fault // u.faults
 
 	// resumed marks faults settled by Options.Resume. It is immutable
 	// once workers start, so they read it without the lock.
@@ -42,17 +43,18 @@ type gradeRun struct {
 	mFaults      *obs.Counter
 }
 
-func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options, universe []faults.Fault) (*gradeRun, error) {
+func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options, u *faultUniverse) (*gradeRun, error) {
 	if ctx == nil {
 		ctx = context.Background() //mbist:exempt ctxflow nil-context guard for internal callers, not an invented root
 	}
 	reg := obs.Active()
 	// One backing allocation for the three per-fault bit arrays (full
 	// capacity slices, so appends can never alias across them).
+	universe := u.faults
 	n := len(universe)
 	flags := make([]bool, 3*n)
 	r := &gradeRun{
-		ctx: ctx, alg: alg, arch: arch, opts: opts, universe: universe,
+		ctx: ctx, alg: alg, arch: arch, opts: opts, u: u, universe: universe,
 		resumed:      flags[0:n:n],
 		graded:       flags[n : 2*n : 2*n],
 		detected:     flags[2*n : 3*n : 3*n],

@@ -20,7 +20,7 @@ func TestSerialGradeStopsOnCancel(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	for _, engine := range []Engine{EngineAuto, EngineScalar} {
 		ctx, cancel := context.WithCancel(context.Background())
-		opts := Options{Size: 64, Width: 2, Workers: 1, Engine: engine, Lanes: 64, FaultHook: chaos.CancelAfter(1, cancel)}
+		opts := Options{Size: 64, Width: 2, Workers: 1, Engine: engine, FaultHook: chaos.CancelAfter(1, cancel)}
 		rep, err := GradeContext(ctx, alg, Microcode, opts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {

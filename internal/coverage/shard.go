@@ -59,7 +59,8 @@ func GradeShardContext(ctx context.Context, alg march.Algorithm, arch Architectu
 		return nil, err
 	}
 	opts.normalise()
-	universe := cachedUniverse(opts)
+	u := cachedUniverse(opts)
+	universe := u.faults
 	lo, hi := ShardRange(len(universe), shard, of)
 	if s := opts.Resume; s != nil {
 		if len(s.Graded) != len(universe) {
@@ -73,7 +74,7 @@ func GradeShardContext(ctx context.Context, alg march.Algorithm, arch Architectu
 			}
 		}
 	}
-	r, err := newGradeRun(ctx, alg, arch, opts, universe)
+	r, err := newGradeRun(ctx, alg, arch, opts, u)
 	if err != nil {
 		return nil, err
 	}
@@ -165,11 +166,10 @@ func ReportFromState(alg march.Algorithm, arch Architecture, opts Options, s *St
 		return nil, fmt.Errorf("coverage: state grades %d/%d faults; a report needs a complete sweep (missing shards, or resume with Options.Resume)",
 			s.GradedCount(), len(s.Graded))
 	}
-	universe := cachedUniverse(opts)
 	opts.Resume = s
 	opts.Checkpoint = nil
 	//mbist:exempt ctxflow merge is pure in-memory bookkeeping; the run never starts workers
-	r, err := newGradeRun(context.Background(), alg, arch, opts, universe)
+	r, err := newGradeRun(context.Background(), alg, arch, opts, cachedUniverse(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -114,11 +114,10 @@ func (s *State) UnmarshalJSON(data []byte) error {
 // Fingerprint identifies the workload a State belongs to: the
 // algorithm (name and march notation), architecture, geometry and
 // universe options — everything that determines the fault universe and
-// the per-fault verdicts. Worker count, engine and lane width are
-// deliberately excluded: reports are byte-identical across all three,
-// so a checkpoint taken at -workers 8 -lanes 512 on the lane engine
-// resumes correctly at -workers 1 on the scalar oracle (and any
-// combination in between).
+// the per-fault verdicts. Worker count and engine are deliberately
+// excluded: reports are byte-identical across both, so a checkpoint
+// taken at -workers 8 on the lane engine resumes correctly at
+// -workers 1 on the scalar oracle (and any combination in between).
 func Fingerprint(alg march.Algorithm, arch Architecture, opts Options) string {
 	opts.normalise()
 	u := opts.Universe

@@ -362,3 +362,23 @@ func TestUniversePortFaults(t *testing.T) {
 		t.Errorf("port-specific faults = %d, want 8", n)
 	}
 }
+
+// TestUniversePresized pins that Universe allocates its fault slice
+// once, at the exact fault count, for exhaustive, sampled, multiport
+// and single-word geometries.
+func TestUniversePresized(t *testing.T) {
+	for _, c := range []struct {
+		size, width int
+		opts        UniverseOpts
+	}{
+		{16, 1, UniverseOpts{}},
+		{8, 4, UniverseOpts{Ports: 3}},
+		{64, 4, UniverseOpts{CellSample: 8, CouplingPairs: 10, AddrSample: 4, Seed: 1, Ports: 2}},
+		{1, 1, UniverseOpts{}},
+		{1, 8, UniverseOpts{}},
+	} {
+		if fs := Universe(c.size, c.width, c.opts); cap(fs) != len(fs) {
+			t.Errorf("%dx%d %+v: %d faults in a slice of capacity %d", c.size, c.width, c.opts, len(fs), cap(fs))
+		}
+	}
+}

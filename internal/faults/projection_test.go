@@ -15,8 +15,9 @@ type supportClass struct {
 
 // TestReplayProjectedMatchesWhole is the exactness property of
 // support-sliced replay at the replay level: a batch of faults sharing
-// one support, localised onto a 1–2-word memory and replayed against
-// the stream projected onto those words, must give every lane the
+// one support, localised onto a 2-word memory and replayed against the
+// stream projected onto those words (replayProjection), must give
+// every lane the
 // verdict whole-stream replay on the full memory gives it. Batches are
 // drawn per fault kind and mixed, on random streams with multiport
 // interleaved reads (every SOF lane depends on UOpSense), pauses and
@@ -53,7 +54,6 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 			}
 			return a.class < b.class
 		})
-		var buf []UOp
 		for _, k := range keys {
 			for _, np := range []int{1, 2} {
 				pool := groups[k]
@@ -72,8 +72,7 @@ func TestReplayProjectedMatchesWhole(t *testing.T) {
 					}
 					lm := NewLaneInjectedPlanes(2, g.width, g.ports, np, local)
 					var got [MaxPlanes]uint64
-					buf, err = lm.ReplayProjected(cs, words, buf, &got)
-					if err != nil {
+					if err := replayProjection(lm, cs, words, &got); err != nil {
 						t.Fatalf("projected replay on %v: %v", words, err)
 					}
 					for i, f := range batch {
@@ -147,9 +146,9 @@ func TestUOpSenseMatchesReadLanes(t *testing.T) {
 		if _, err := whole.Replay(cs, &want); err != nil {
 			t.Fatal(err)
 		}
-		lm := NewLaneInjected(1, width, ports, c.batch)
+		lm := NewLaneInjected(2, width, ports, c.batch)
 		var got [MaxPlanes]uint64
-		if _, err := lm.ReplayProjected(cs, []int32{0}, nil, &got); err != nil {
+		if err := replayProjection(lm, cs, []int32{0}, &got); err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range c.batch {
@@ -183,7 +182,9 @@ func TestGoodMachineErr(t *testing.T) {
 	if cs, _ = NewCompiledStream(8, 1, 1, ops); cs.GoodMachineErr() != nil {
 		t.Fatalf("consistent stream reported: %v", cs.GoodMachineErr())
 	}
-	if _, err := NewCompiledStream(8, 1, 1, []UOp{{Kind: UOpSense}}); err == nil {
-		t.Error("NewCompiledStream accepted a UOpSense")
+	// A UOpSense touches no cell, so it cannot fail the good machine.
+	cs, err = NewCompiledStream(8, 1, 1, []UOp{{Kind: UOpSense, Data: 1}, {Kind: UOpRead, Data: 0}})
+	if err != nil || cs.GoodMachineErr() != nil {
+		t.Fatalf("stream with a UOpSense: err %v, good machine %v", err, cs.GoodMachineErr())
 	}
 }

@@ -51,10 +51,9 @@ const (
 	// UOpPause models a retention delay (march "Del" element).
 	UOpPause
 	// UOpSense loads Data into Port's sense latch in every lane. Only
-	// projected streams carry it (see ReplayProjected): it stands for a
-	// read of a word outside the projection, which senses fault-free
-	// cells in every lane. Captured streams never contain it, so
-	// NewCompiledStream rejects it.
+	// projected streams carry it (see Project): it stands for a read of
+	// a word outside the projection, which senses fault-free cells in
+	// every lane. It has no address.
 	UOpSense
 )
 
@@ -62,14 +61,14 @@ const (
 // address and data of a march primitive, with the first cell index
 // (Addr×width) that NewCompiledStream checks against the geometry.
 type UOp struct {
-	// Data is the written word (UOpWrite) or the expected fault-free
-	// read value (UOpRead).
+	// Data is the written word (UOpWrite), the expected fault-free
+	// read value (UOpRead) or the sensed word (UOpSense).
 	Data uint64
 	// Cell is Addr*width, the plane-array row of the word's first bit.
 	Cell int32
 	// Addr is the word address.
 	Addr int32
-	// Kind is the opcode (UOpWrite/UOpRead/UOpPause).
+	// Kind is the opcode (UOpWrite/UOpRead/UOpPause/UOpSense).
 	Kind uint8
 	// Port is the access port.
 	Port uint8
@@ -81,11 +80,10 @@ type UOp struct {
 
 // CompiledStream is a validated, immutable µop program for one
 // (algorithm, geometry): every port and address is bounds-checked at
-// compile time. Compile once (it is content-addressed by the coverage layer), replay
-// per batch.
+// compile time. Compile once, replay per batch.
 //
-// The stream also carries a per-word µop index for support-sliced
-// replay (ReplayProjected), in CSR layout (4 B per µop):
+// The stream also carries a per-word µop index for Project, in CSR
+// layout (4 B per µop):
 // byWord[wordStart[a]:wordStart[a+1]] lists, in stream order, the µops
 // that access word a. pauses lists the pause µops. With each read's
 // link to the previous read on its port (UOp.prevRead), that is all a
@@ -108,7 +106,7 @@ type CompiledStream struct {
 // NewCompiledStream validates ops against the geometry and returns the
 // compiled program. The op slice is copied: a CompiledStream never
 // aliases caller memory, so cached streams are safe to share across
-// grading workers.
+// grading workers. A UOpSense is validated on its port and data only.
 //
 // It also runs the stream once on a fault-free machine and keeps the
 // outcome (GoodMachineErr): a projected replay only checks the good
@@ -126,18 +124,20 @@ func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, erro
 		switch op.Kind {
 		case UOpPause:
 			continue
-		case UOpWrite, UOpRead:
+		case UOpWrite, UOpRead, UOpSense:
 		default:
 			return nil, fmt.Errorf("faults: µop %d has unknown opcode %d", i, op.Kind)
 		}
 		if int(op.Port) >= ports {
 			return nil, fmt.Errorf("faults: µop %d port %d out of [0,%d)", i, op.Port, ports)
 		}
-		if op.Addr < 0 || int(op.Addr) >= size {
-			return nil, fmt.Errorf("faults: µop %d address %d out of [0,%d)", i, op.Addr, size)
-		}
-		if int(op.Cell) != int(op.Addr)*width {
-			return nil, fmt.Errorf("faults: µop %d cell %d != addr %d × width %d", i, op.Cell, op.Addr, width)
+		if op.Kind != UOpSense {
+			if op.Addr < 0 || int(op.Addr) >= size {
+				return nil, fmt.Errorf("faults: µop %d address %d out of [0,%d)", i, op.Addr, size)
+			}
+			if int(op.Cell) != int(op.Addr)*width {
+				return nil, fmt.Errorf("faults: µop %d cell %d != addr %d × width %d", i, op.Cell, op.Addr, width)
+			}
 		}
 		if op.Data&^wordMask != 0 {
 			return nil, fmt.Errorf("faults: µop %d data %#x exceeds %d-bit word", i, op.Data, width)
@@ -150,7 +150,8 @@ func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, erro
 }
 
 // index builds the per-word µop index, the pause list and the
-// previous-read links, and runs the fault-free machine.
+// previous-read links, and runs the fault-free machine. A UOpSense
+// belongs to no word and touches no cell, so it is skipped.
 func (cs *CompiledStream) index() {
 	cs.wordStart = make([]int32, cs.size+1)
 	lastRead := make([]int32, cs.ports)
@@ -161,8 +162,11 @@ func (cs *CompiledStream) index() {
 	for i := range cs.ops {
 		op := &cs.ops[i]
 		op.prevRead = -1
-		if op.Kind == UOpPause {
+		switch op.Kind {
+		case UOpPause:
 			cs.pauses = append(cs.pauses, int32(i))
+			continue
+		case UOpSense:
 			continue
 		}
 		cs.wordStart[op.Addr+1]++
@@ -183,7 +187,7 @@ func (cs *CompiledStream) index() {
 	cs.byWord = make([]int32, cs.wordStart[cs.size])
 	fill := append([]int32(nil), cs.wordStart[:cs.size]...)
 	for i := range cs.ops {
-		if op := &cs.ops[i]; op.Kind != UOpPause {
+		if op := &cs.ops[i]; op.Kind == UOpWrite || op.Kind == UOpRead {
 			cs.byWord[fill[op.Addr]] = int32(i)
 			fill[op.Addr]++
 		}
@@ -206,11 +210,16 @@ func (cs *CompiledStream) GoodMachineErr() error { return cs.goodErr }
 // on the same port hit a word outside the projection is preceded by a
 // UOpSense carrying that read's expected word: that read sensed
 // fault-free cells in every lane, which is what the sense latch then
-// holds. words holds one or two distinct in-range addresses.
+// holds. words holds one or two distinct in-range addresses, and cs is
+// a whole stream: one that carries no UOpSense.
 //
-// The result is exactly what ReplayProjected replays for words, so a
-// fault localised onto two supports with equal projections gets the
-// same verdict on either.
+// Faults that touch no word outside words get, on a 2-word memory
+// replaying the projection (compiled at size 2), the verdict they get
+// on the whole stream: every other word holds fault-free values in
+// every lane, so dropping its µops changes nothing. A fault localised
+// onto two supports with equal projections therefore gets the same
+// verdict on either. The replay checks the good machine only on the
+// projected reads; GoodMachineErr checks the whole stream.
 //
 //mbist:hotpath
 func (cs *CompiledStream) Project(words []int32, dst []UOp) []UOp {
@@ -252,33 +261,6 @@ func (cs *CompiledStream) Project(words []int32, dst []UOp) []UOp {
 		dst = append(dst, UOp{Kind: UOpPause})
 	}
 	return dst
-}
-
-// ReplayProjected replays the stream projected onto one or two words
-// (see Project) on a local memory whose address k stands for words[k],
-// with the batch's faults injected in those local coordinates. Faults
-// of the batch must touch no word outside words; then every other word
-// holds fault-free values in every lane and dropping its µops changes
-// no verdict. buf is scratch for the projection, returned for reuse.
-// Lane 0 is checked only on the projected reads: callers check the
-// whole stream with GoodMachineErr.
-//
-//mbist:hotpath
-func (m *LaneInjected) ReplayProjected(cs *CompiledStream, words []int32, buf []UOp, fail *[MaxPlanes]uint64) ([]UOp, error) {
-	if cs.width != m.width || cs.ports != m.ports {
-		return buf, fmt.Errorf("faults: stream compiled for width %d/%d ports replayed on %d/%d",
-			cs.width, cs.ports, m.width, m.ports)
-	}
-	if len(words) < 1 || len(words) > 2 || len(words) > m.size {
-		return buf, fmt.Errorf("faults: projection onto %d words on a %d-word memory", len(words), m.size)
-	}
-	for k, a := range words {
-		if a < 0 || int(a) >= cs.size || (k == 1 && a == words[0]) {
-			return buf, fmt.Errorf("faults: bad projection words %v for %d-word stream", words, cs.size)
-		}
-	}
-	buf = cs.Project(words, buf[:0])
-	return buf, m.replay(buf, fail)
 }
 
 // Geometry returns the memory geometry the stream was compiled for.

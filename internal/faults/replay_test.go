@@ -76,6 +76,19 @@ func scalarDetects(cs *CompiledStream, f Fault) bool {
 	return detected
 }
 
+// replayProjection replays cs projected onto words the way the
+// coverage plan does: Project, compile the projection as a 2-word
+// stream and Replay it on m, a 2-word memory carrying faults localised
+// onto words.
+func replayProjection(m *LaneInjected, cs *CompiledStream, words []int32, fail *[MaxPlanes]uint64) error {
+	proj, err := NewCompiledStream(2, cs.width, cs.ports, cs.Project(words, nil))
+	if err != nil {
+		return err
+	}
+	_, err = m.Replay(proj, fail)
+	return err
+}
+
 // laneDetected reports logical lane l's verdict in a fail mask.
 func laneDetected(fail *[MaxPlanes]uint64, l int) bool {
 	return fail[l>>6]>>uint(l&63)&1 == 1
@@ -84,8 +97,9 @@ func laneDetected(fail *[MaxPlanes]uint64, l int) bool {
 // FuzzReplayMatchesScalar is the compiled-replay equivalence property:
 // on a random µop stream over a small geometry, every fault's lane
 // verdict from Replay (universe chunks that mix every kind) and from
-// ReplayProjected (batches sharing one support, localised onto a
-// 2-word memory) must equal a scalar Injected carrying only that fault
+// a projected replay (batches sharing one support, localised onto a
+// 2-word memory replaying the support's projection; replayProjection)
+// must equal a scalar Injected carrying only that fault
 // and running the same µops. Inputs pick the stream seed, the geometry
 // (1–8 words, width 1–4, 1–2 ports), the plane count (1, 2 or 4), the
 // stream length and whether the stream opens with a write of every
@@ -148,7 +162,6 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 			groups[k] = append(groups[k], flt)
 		}
 		local := NewLaneInjectedPlanes(2, w, p, np, nil)
-		var buf []UOp
 		for _, k := range order {
 			words := k.words[:k.n]
 			pool := groups[k]
@@ -160,8 +173,7 @@ func FuzzReplayMatchesScalar(f *testing.F) {
 				}
 				local.ResetPlanes(loc, np)
 				var fail [MaxPlanes]uint64
-				var err error
-				if buf, err = local.ReplayProjected(cs, words, buf, &fail); err != nil {
+				if err := replayProjection(local, cs, words, &fail); err != nil {
 					t.Fatalf("projected replay on %v: %v", words, err)
 				}
 				for i, flt := range batch {
@@ -239,8 +251,10 @@ func TestCompiledStreamValidation(t *testing.T) {
 		{"negative addr", UOp{Kind: UOpWrite, Addr: -1, Cell: -2}},
 		{"cell mismatch", UOp{Kind: UOpWrite, Addr: 1, Cell: 3}},
 		{"data past width", UOp{Kind: UOpWrite, Addr: 1, Cell: 2, Data: 4}},
+		{"sense port out of range", UOp{Kind: UOpSense, Port: 2, Data: 3}},
+		{"sense data past width", UOp{Kind: UOpSense, Port: 1, Data: 4}},
 	}
-	if _, err := NewCompiledStream(8, 2, 2, []UOp{valid, {Kind: UOpPause}}); err != nil {
+	if _, err := NewCompiledStream(8, 2, 2, []UOp{valid, {Kind: UOpPause}, {Kind: UOpSense, Port: 1, Data: 3}}); err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}
 	for _, c := range cases {

@@ -9,8 +9,8 @@ package faults
 //
 // SOF is the one kind whose behaviour still depends on other words:
 // its port's sense latch holds whatever the previous read on that port
-// sensed, wherever it was. A projected replay (ReplayProjected) covers
-// that with UOpSense.
+// sensed, wherever it was. A projected stream (Project) covers that
+// with UOpSense.
 func Support(f Fault, width int) (words [2]int32, n int) {
 	var a, b int
 	switch f.Kind {

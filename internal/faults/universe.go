@@ -29,9 +29,17 @@ type UniverseOpts struct {
 func Universe(size, width int, opts UniverseOpts) []Fault {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	nCells := size * width
-	var fs []Fault
-
+	// Draw cells, pairs and addresses first, in that order, so the
+	// fault slice is allocated once at its exact length.
 	cells := sampleInts(nCells, opts.CellSample, rng)
+	pairs := couplingPairs(nCells, width, opts.CouplingPairs, rng)
+	addrs := sampleInts(size, opts.AddrSample, rng)
+	n := 15*len(cells) + 8*len(pairs) + 2*max(opts.Ports-1, 0)*len(cells)
+	if size > 1 {
+		n += 3 * len(addrs)
+	}
+	fs := make([]Fault, 0, n)
+
 	for _, c := range cells {
 		fs = append(fs,
 			Fault{Kind: SA, Cell: c, Value: false, Port: AnyPort},
@@ -52,7 +60,6 @@ func Universe(size, width int, opts UniverseOpts) []Fault {
 		)
 	}
 
-	pairs := couplingPairs(nCells, width, opts.CouplingPairs, rng)
 	for _, p := range pairs {
 		agg, vic := p[0], p[1]
 		fs = append(fs,
@@ -67,7 +74,6 @@ func Universe(size, width int, opts UniverseOpts) []Fault {
 		)
 	}
 
-	addrs := sampleInts(size, opts.AddrSample, rng)
 	for _, a := range addrs {
 		other := (a + 1) % size
 		if other == a {
@@ -107,8 +113,12 @@ func sampleInts(n, limit int, rng *rand.Rand) []int {
 // mode uses physical neighbours: bit-adjacent cells and word-adjacent
 // cells (same bit lane, next word) in both directions.
 func couplingPairs(nCells, width, limit int, rng *rand.Rand) [][2]int {
-	var pairs [][2]int
 	if limit <= 0 {
+		n := 2 * max(nCells-1, 0)
+		if width > 1 {
+			n += 2 * max(nCells-width, 0)
+		}
+		pairs := make([][2]int, 0, n)
 		for c := 0; c < nCells; c++ {
 			if c+1 < nCells {
 				pairs = append(pairs, [2]int{c, c + 1}, [2]int{c + 1, c})
@@ -119,6 +129,7 @@ func couplingPairs(nCells, width, limit int, rng *rand.Rand) [][2]int {
 		}
 		return pairs
 	}
+	var pairs [][2]int
 	seen := make(map[[2]int]bool)
 	for len(pairs) < limit && len(seen) < nCells*(nCells-1) {
 		a, v := rng.Intn(nCells), rng.Intn(nCells)

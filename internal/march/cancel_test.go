@@ -36,33 +36,3 @@ func TestRunNilContextRunsToCompletion(t *testing.T) {
 		t.Error("fault-free memory failed the march test")
 	}
 }
-
-func TestFullStreamContextMatchesFullStream(t *testing.T) {
-	alg := MustParse("marchc", "b(w0); u(r0,w1); u(r1,w0); d(r0,w1); d(r1,w0); b(r0)")
-	want := FullStream(alg, 16, 4, 2, false)
-	got, err := FullStreamContext(context.Background(), alg, 16, 4, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("op %d differs: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFullStreamContextCancelled(t *testing.T) {
-	alg := MustParse("marchc", "b(w0); u(r0,w1); u(r1,w0); d(r0,w1); d(r1,w0); b(r0)")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ops, err := FullStreamContext(ctx, alg, 16, 1, 1, true)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ops != nil {
-		t.Errorf("cancelled expansion returned %d ops, want nil", len(ops))
-	}
-}

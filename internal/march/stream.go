@@ -1,11 +1,6 @@
 package march
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/memory"
-)
+import "repro/internal/memory"
 
 // StreamOp is one entry of the canonical memory-operation stream of a
 // march test on a fault-free memory: reads carry the value a clean
@@ -47,37 +42,20 @@ func FullStream(a Algorithm, size, width, ports int, singleBackground bool) []St
 	return expandStream(a, size, width, ports, singleBackground, true)
 }
 
-// FullStreamContext is FullStream with cancellation for matrix-scale
-// geometries, where one expansion can reach millions of entries: the
-// context is checked at element boundaries and a cancelled expansion
-// returns nil with the context's error.
-func FullStreamContext(ctx context.Context, a Algorithm, size, width, ports int, singleBackground bool) ([]StreamOp, error) {
-	mask := wordMask(width)
-	bgs := Backgrounds(width)
-	if singleBackground {
-		bgs = bgs[:1]
-	}
-	var ops []StreamOp
-	for port := 0; port < ports; port++ {
-		for _, bg := range bgs {
-			for _, e := range a.Elements {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("march: %s stream expansion cancelled: %w", a.Name, err)
-				}
-				ops = appendElement(ops, e, size, port, bg, mask, true)
-			}
-		}
-	}
-	return ops, nil
-}
-
 func expandStream(a Algorithm, size, width, ports int, singleBackground, pauses bool) []StreamOp {
 	mask := wordMask(width)
 	bgs := Backgrounds(width)
 	if singleBackground {
 		bgs = bgs[:1]
 	}
-	var ops []StreamOp
+	n := 0
+	for _, e := range a.Elements {
+		n += size * len(e.Ops)
+		if pauses && e.PauseBefore {
+			n++
+		}
+	}
+	ops := make([]StreamOp, 0, ports*len(bgs)*n)
 	for port := 0; port < ports; port++ {
 		for _, bg := range bgs {
 			for _, e := range a.Elements {
@@ -89,7 +67,7 @@ func expandStream(a Algorithm, size, width, ports int, singleBackground, pauses 
 }
 
 // appendElement expands one march element over the address range into
-// ops — the shared inner loop of every stream expansion.
+// ops.
 func appendElement(ops []StreamOp, e Element, size, port int, bg, mask uint64, pauses bool) []StreamOp {
 	if pauses && e.PauseBefore {
 		ops = append(ops, StreamOp{Pause: true})

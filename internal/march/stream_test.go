@@ -36,6 +36,11 @@ func TestFullStreamMatchesOpStreamPlusPauses(t *testing.T) {
 		if pauses != wantPauses {
 			t.Errorf("%s: %d pause entries, want %d", alg.Name, pauses, wantPauses)
 		}
+		// Both expansions are allocated once, at their exact length.
+		if cap(full) != len(full) || cap(want) != len(want) {
+			t.Errorf("%s: FullStream len %d cap %d, OpStreamPorts len %d cap %d",
+				alg.Name, len(full), cap(full), len(want), cap(want))
+		}
 	}
 }
 

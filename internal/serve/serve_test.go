@@ -132,24 +132,29 @@ func TestShardedGradeByteIdentical(t *testing.T) {
 
 // TestRepeatGradeServedFromArtifactCache asserts via obs counters that
 // a repeated identical grade request re-synthesises nothing: no new
-// universe, stream or controller builds on the second request.
+// universe, controller, stream-verdict or class-plan builds on the
+// second request.
 func TestRepeatGradeServedFromArtifactCache(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
 	_, ts := newTestServer(t, Options{Workers: 1})
-	builds := func(name string) int64 {
-		return reg.Counter("artifact." + name + ".builds").Value()
+	caches := []string{"universe", "controller", "stream", "plan"}
+	builds := func() string {
+		n := make([]int64, len(caches))
+		for i, name := range caches {
+			n[i] = reg.Counter("artifact." + name + ".builds").Value()
+		}
+		return fmt.Sprint(n)
 	}
 
 	first := submit(t, ts, `{"kind":"grade","grade":{"algs":"marchc","arch":"microcode","size":40}}`)
 	waitDone(t, ts, first.ID)
-	u1, s1, c1 := builds("universe"), builds("stream"), builds("controller")
+	b1 := builds()
 
 	second := submit(t, ts, `{"kind":"grade","grade":{"algs":"marchc","arch":"microcode","size":40}}`)
 	waitDone(t, ts, second.ID)
-	if u, s, c := builds("universe"), builds("stream"), builds("controller"); u != u1 || s != s1 || c != c1 {
-		t.Fatalf("repeat request re-synthesised: universe %d->%d, stream %d->%d, controller %d->%d",
-			u1, u, s1, s, c1, c)
+	if b2 := builds(); b2 != b1 {
+		t.Fatalf("repeat request re-synthesised: %v builds %s -> %s", caches, b1, b2)
 	}
 	if hits := reg.Counter("artifact.universe.hits").Value(); hits == 0 {
 		t.Fatal("repeat request did not hit the universe cache")
@@ -191,13 +196,15 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 		{`{"kind":"grade","grade":{"shards":-1}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"width":65}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"ports":257}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":-5}}`, http.StatusBadRequest},
 		{`{"kind":"lint","lint":{"arch":"quantum"}}`, http.StatusBadRequest},
 		{`{"kind":"assemble","assemble":{"alg":"nosuch"}}`, http.StatusBadRequest},
 		{`{"kind":"area","area":{"table":9}}`, http.StatusBadRequest},
 		{`{"kind":"grade","unknown_field":1}`, http.StatusBadRequest},
-		// The replay-mode knob is gone; a body still carrying it is an
-		// unknown field.
+		// The replay-mode and lane-width knobs are gone; a body still
+		// carrying one is an unknown field.
 		{`{"kind":"grade","grade":{"replay":"interpreted"}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"lanes":"512"}}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

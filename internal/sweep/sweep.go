@@ -1,7 +1,7 @@
 // Package sweep is the shared workload plumbing of the coverage
 // drivers. cmd/mbistcov (flags) and cmd/mbistd (JSON requests) resolve
 // the same Spec into the same Workload — one place owns the algorithm
-// list, architecture, engine and lane defaults, so the CLI and the
+// list, architecture and engine defaults, so the CLI and the
 // service cannot drift, and a service-graded report diffs
 // byte-identical against the CLI's stdout.
 //
@@ -35,7 +35,6 @@ const (
 	DefaultPorts   = 1
 	DefaultWorkers = 0
 	DefaultEngine  = "auto"
-	DefaultLanes   = "auto"
 )
 
 // Spec is the wire/flag form of one coverage workload. The zero value
@@ -62,8 +61,6 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// Engine selects the fault-simulation engine: auto or scalar.
 	Engine string `json:"engine,omitempty"`
-	// Lanes is the lane-engine batch width: auto, 64, 128, 256 or 512.
-	Lanes string `json:"lanes,omitempty"`
 	// Timeout is the per-run deadline as a Go duration string ("90s",
 	// "5m"); empty means no deadline. A run that hits its deadline stops
 	// at the last graded fault and reports Partial results.
@@ -86,7 +83,6 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Ports, "ports", DefaultPorts, "memory ports")
 	fs.IntVar(&s.Workers, "workers", DefaultWorkers, "concurrent grading workers (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&s.Engine, "engine", DefaultEngine, "fault-simulation engine: auto (lane-parallel stream replay with scalar fallback) or scalar (one fault at a time)")
-	fs.StringVar(&s.Lanes, "lanes", DefaultLanes, "lane-engine batch width: auto, 64, 128, 256 or 512 logical fault lanes (ignored by -engine scalar; reports are byte-identical at every width)")
 	fs.StringVar(&s.Timeout, "timeout", "", "per-run deadline as a Go duration (e.g. 90s, 5m); empty = none; an expired run reports Partial results (execution policy — excluded from the workload fingerprint)")
 	fs.IntVar(&s.Retries, "retries", 0, "transient-failure retry budget for service jobs: 0 = service default, negative = never retry (execution policy — excluded from the workload fingerprint)")
 }
@@ -152,9 +148,6 @@ func (s Spec) Workload() (*Workload, error) {
 	if s.Engine == "" {
 		s.Engine = DefaultEngine
 	}
-	if s.Lanes == "" {
-		s.Lanes = DefaultLanes
-	}
 	arch, err := ParseArch(s.Arch)
 	if err != nil {
 		return nil, err
@@ -163,15 +156,11 @@ func (s Spec) Workload() (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := ParseLanes(s.Lanes)
-	if err != nil {
-		return nil, err
-	}
 	w := &Workload{
 		Arch: arch,
 		Opts: coverage.Options{
 			Size: s.Size, Width: s.Width, Ports: s.Ports,
-			Workers: s.Workers, Engine: engine, Lanes: lanes,
+			Workers: s.Workers, Engine: engine,
 		},
 	}
 	if err := w.Opts.Validate(); err != nil {
@@ -200,9 +189,9 @@ func (w *Workload) Names() []string {
 // exact workload: a readable architecture/geometry/algorithm summary
 // plus a checksum of the per-algorithm coverage fingerprints (which
 // fold in the universe options and each algorithm's march notation) in
-// grading order. Worker count, engine and lanes are excluded —
-// verdicts are byte-identical across all three, so state
-// persisted under one configuration resumes under any other.
+// grading order. Worker count and engine are excluded — verdicts are
+// byte-identical across both, so state persisted under one
+// configuration resumes under any other.
 func (w *Workload) Fingerprint() string {
 	names := w.Names()
 	fps := make([]string, len(w.Algs))
@@ -262,25 +251,6 @@ func ParseEngine(s string) (coverage.Engine, error) {
 		return coverage.EngineScalar, nil
 	}
 	return 0, fmt.Errorf("unknown engine %q", s)
-}
-
-// ParseLanes maps a lane-width name to Options.Lanes: "auto" (or
-// empty) defers to the library default, otherwise the value must be a
-// supported logical lane width.
-func ParseLanes(s string) (int, error) {
-	switch s {
-	case "auto", "":
-		return 0, nil
-	case "64":
-		return 64, nil
-	case "128":
-		return 128, nil
-	case "256":
-		return 256, nil
-	case "512":
-		return 512, nil
-	}
-	return 0, fmt.Errorf("unknown lane width %q (want auto, 64, 128, 256 or 512)", s)
 }
 
 // Shard is one graded workload slice: shard Shard of Of, with one

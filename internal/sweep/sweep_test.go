@@ -46,12 +46,12 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 		{Algs: "nosuch"},
 		{Arch: "quantum"},
 		{Engine: "warp"},
-		{Lanes: "96"},
 		// Geometry outside the engines' bounds (coverage.Options.Validate).
 		{Width: 65},
 		{Width: -1},
 		{Ports: 257},
 		{Ports: -2},
+		{Size: -5},
 	} {
 		if _, err := s.Workload(); err == nil {
 			t.Errorf("Spec %+v resolved, want error", s)
@@ -65,12 +65,11 @@ func TestFingerprintExcludesExecutionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers, engine and lanes must not move the fingerprint: state
-	// persisted under one configuration resumes under any other.
+	// Workers and engine must not move the fingerprint: state persisted
+	// under one configuration resumes under any other.
 	for _, s := range []Spec{
 		{Algs: "marchc", Size: 8, Workers: 7},
 		{Algs: "marchc", Size: 8, Engine: "scalar"},
-		{Algs: "marchc", Size: 8, Lanes: "512"},
 		{Algs: "marchc", Size: 8, Timeout: "90s", Retries: 3},
 	} {
 		w, err := s.Workload()
