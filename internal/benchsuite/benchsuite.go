@@ -119,8 +119,9 @@ func GradeParallel(b *testing.B) {
 	grade(b, runtime.GOMAXPROCS(0), coverage.EngineScalar)
 }
 
-// GradeLane measures the 63-fault lane-batched stream-replay engine on
-// one worker; its speedup is tracked against GradeSerial.
+// GradeLane measures the lane engine (one lane per projection class,
+// up to 255 classes per batch replay) on one worker; its speedup is
+// tracked against GradeSerial.
 func GradeLane(b *testing.B) { grade(b, 1, coverage.EngineAuto) }
 
 // GradeLaneParallel measures the lane engine's batch worker pool at an

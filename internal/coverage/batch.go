@@ -19,13 +19,14 @@ import (
 // faulty run is a prefix of the clean run's stream ending at that read.
 // Detection is therefore equivalent to "any read mismatches its
 // expected value when the full clean stream is replayed". That lets
-// one replay of the captured stream grade a whole batch at once: lane 0
-// of a faults.LaneInjected is the good machine and logical lanes
-// 1..DefaultLanes-1 each carry one fault; every read compares all lanes
-// against the expected value in parallel and accumulates a per-plane
-// fail mask. gradeBatched narrows that replay twice: to the one or two
-// words a fault can touch, and to one lane per class of faults that
-// would replay identically (compile.go).
+// one replay grade a whole batch at once: lane 0 of a
+// faults.LaneInjected is the good machine and logical lanes
+// 1..DefaultLanes-1 each carry one projection class, a fault that
+// stands for every universe fault that would replay identically
+// (compile.go); every read compares all lanes against the expected
+// value in parallel and accumulates a per-plane fail mask. Each batch
+// replays not the whole stream but its classes' projection onto the
+// one or two words their faults can touch.
 
 // referenceStream expands the canonical reference stream of the
 // workload: the stream march.Run issues on its geometry.
@@ -36,30 +37,27 @@ func referenceStream(alg march.Algorithm, opts Options) []march.StreamOp {
 // verifyStream runs the architecture's runner once over a
 // Recorder-wrapped fault-free memory and compares the captured
 // operation stream with the reference stream. ok reports a match, the
-// guard the batched engine requires, and ref is then the reference
-// stream; a divergent capture (e.g. a decomposed prog-FSM program)
-// returns ok=false so the caller falls back to the scalar oracle.
-func verifyStream(alg march.Algorithm, arch Architecture, opts Options) (ref []march.StreamOp, ok bool, err error) {
+// guard the batched engine requires; a divergent capture (e.g. a
+// decomposed prog-FSM program) returns ok=false so the caller falls
+// back to the scalar oracle.
+func verifyStream(alg march.Algorithm, arch Architecture, opts Options) (ok bool, err error) {
 	run, err := buildRunner(alg, arch, opts)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	ref = referenceStream(alg, opts)
+	ref := referenceStream(alg, opts)
 	rec := &march.Recorder{
 		Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports),
 		Ops: make([]march.StreamOp, 0, len(ref)),
 	}
 	detected, err := run(rec)
 	if err != nil {
-		return nil, false, fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
+		return false, fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
 	}
 	if detected {
-		return nil, false, fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
+		return false, fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
 	}
-	if !streamsEqual(rec.Ops, ref) {
-		return nil, false, nil
-	}
-	return ref, true, nil
+	return streamsEqual(rec.Ops, ref), nil
 }
 
 // Verification verdicts (including negative ones) are deterministic
@@ -82,22 +80,17 @@ const streamVerdictLimit = 1024
 var streamCache = artifact.New[streamKey, bool]("stream", streamVerdictLimit)
 
 // streamVerified is verifyStream's verdict, memoised on the workload
-// key. ref is the reference stream when this call built a passing
-// verdict, nil otherwise; the caller hands it to the plan build so a
-// cold grade expands it once. Errors are never cached (they may be
-// transient panics of a chaos hook's making — the artifact cache drops
-// failed builds); verdicts are, so a decomposed program pays its
-// capture exactly once.
-func streamVerified(alg march.Algorithm, arch Architecture, opts Options) (ok bool, ref []march.StreamOp, err error) {
+// key. Errors are never cached (they may be transient panics of a
+// chaos hook's making — the artifact cache drops failed builds);
+// verdicts are, so a decomposed program pays its capture exactly once.
+func streamVerified(alg march.Algorithm, arch Architecture, opts Options) (bool, error) {
 	key := streamKey{
 		algFP: march.Fingerprint(alg), arch: arch,
 		size: opts.Size, width: opts.Width, ports: opts.Ports,
 	}
-	ok, err = streamCache.Get(key, func() (ok bool, err error) {
-		ref, ok, err = verifyStream(alg, arch, opts)
-		return ok, err
+	return streamCache.Get(key, func() (bool, error) {
+		return verifyStream(alg, arch, opts)
 	})
-	return ok, ref, err
 }
 
 func streamsEqual(a, b []march.StreamOp) bool {
@@ -169,80 +162,25 @@ func putScratch(k scratchKey, m *faults.LaneInjected) {
 
 // gradeBatched grades the universe one lane per projection class (see
 // compile.go): each batch replays one projection on a 2-word arena,
-// and each lane's verdict commits to its class's pending members. ref
-// is the reference stream when the caller has just expanded it, or nil
-// (see cachedClassPlan). Reports — including the Missed ordering — are
-// byte-identical to the scalar oracle at any worker count: verdicts
-// commit through universe indices, and the report is assembled in
-// universe order. A panic anywhere in a batch (hook, injector or
-// replay) fails only that batch: each of its pending members is
-// retried individually on the scalar oracle and quarantined if it
-// panics again. Cancellation stops the claim loop at the next batch
-// boundary.
-func (r *gradeRun) gradeBatched(ref []march.StreamOp) error {
+// and each lane's verdict is its class's (commitClasses). Reports —
+// including the Missed ordering — are byte-identical to the scalar
+// oracle at any worker count: the report is assembled in universe
+// order. A panic anywhere in a batch (hook, injector or replay) fails
+// only that batch: each of its pending members is retried
+// individually on the scalar oracle and quarantined if it panics
+// again. Cancellation stops the claim loop at the next batch boundary.
+func (r *gradeRun) gradeBatched() error {
 	reg := obs.Active()
-	plan, err := cachedClassPlan(r.alg, r.opts, r.u, ref)
+	plan, err := cachedClassPlan(r.alg, r.opts, r.u)
 	if err != nil {
 		return fmt.Errorf("coverage: %s on %s: %w", r.alg.Name, r.arch, err)
 	}
+	r.usePlan(plan)
 	reg.Counter("coverage.compiled_streams").Add(1)
 	batches := len(plan.batches)
 	workers := min(r.opts.Workers, batches)
 	reg.Gauge("coverage.workers").Set(int64(workers))
-	mBatches := reg.Counter("coverage.batches_replayed")
-	mLanes := reg.Span("coverage.batch_lanes")
-	mBatch := reg.Span("coverage.batch_ns")
-	mClassLanes := reg.Counter("coverage.class_lanes")
 	skey := scratchKey{width: r.opts.Width, ports: r.opts.Ports}
-
-	// gradeOne replays one batch on a worker's arena; a panic escapes
-	// as a *PanicError for the caller's scalar retry, and drops the
-	// arena, which may be mid-mutation.
-	gradeOne := func(b int, arena **faults.LaneInjected) error {
-		bt := &plan.batches[b]
-		pending := 0
-		for _, i := range plan.membersOf(bt) {
-			if !r.resumed[i] {
-				pending++
-			}
-		}
-		if pending == 0 {
-			// Fully settled by the resumed checkpoint: nothing to replay.
-			return nil
-		}
-		t0 := mBatch.Start()
-		var fail [faults.MaxPlanes]uint64
-		var rerr error
-		perr := resilience.Capture(func() {
-			if r.opts.FaultHook != nil {
-				for _, i := range plan.membersOf(bt) {
-					if !r.resumed[i] {
-						r.opts.FaultHook(int(i))
-					}
-				}
-			}
-			if *arena == nil {
-				*arena = faults.NewLaneInjectedPlanes(2, skey.width, skey.ports, batchPlanes, nil)
-			}
-			(*arena).ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
-			_, rerr = (*arena).Replay(plan.projs[bt.proj], &fail)
-		})
-		if perr != nil {
-			*arena = nil
-			return perr
-		}
-		if rerr != nil {
-			return fmt.Errorf("coverage: batch %d (%d classes): %w", b, bt.hi-bt.lo, rerr)
-		}
-		r.commitClasses(plan, bt, &fail)
-		mBatch.ObserveSince(t0)
-		mBatches.Add(1)
-		mLanes.Observe(int64(bt.hi - bt.lo))
-		mClassLanes.Add(int64(bt.hi - bt.lo))
-		r.mFaults.Add(int64(pending))
-		return nil
-	}
-
 	arenas := make([]*faults.LaneInjected, max(workers, 1))
 	for w := range arenas {
 		arenas[w] = getScratch(skey)
@@ -259,7 +197,7 @@ func (r *gradeRun) gradeBatched(ref []march.StreamOp) error {
 	// hook blew up first), so the scalar attempt may be the member's
 	// first.
 	return r.claimLoop(batches, workers, func(w, b int) error {
-		err := gradeOne(b, &arenas[w])
+		err := r.replayBatch(plan, b, &arenas[w])
 		if _, ok := resilience.AsPanic(err); !ok {
 			return err
 		}
@@ -270,7 +208,7 @@ func (r *gradeRun) gradeBatched(ref []march.StreamOp) error {
 		}
 		for _, ui := range plan.membersOf(&plan.batches[b]) {
 			i := int(ui)
-			if r.resumed[i] {
+			if r.settled(i) {
 				continue
 			}
 			if r.ctx.Err() != nil {
@@ -282,4 +220,48 @@ func (r *gradeRun) gradeBatched(ref []march.StreamOp) error {
 		}
 		return nil
 	})
+}
+
+// replayBatch replays batch b of the plan on a worker's arena and
+// commits its verdicts. A panic escapes as a *PanicError for the
+// caller's scalar retry, and drops the arena, which may be
+// mid-mutation.
+func (r *gradeRun) replayBatch(plan *classPlan, b int, arena **faults.LaneInjected) error {
+	bt := &plan.batches[b]
+	pending := r.pending(plan.membersOf(bt))
+	if pending == 0 {
+		// Fully settled by the resumed checkpoint: nothing to replay.
+		return nil
+	}
+	t0 := r.mBatch.Start()
+	var fail [faults.MaxPlanes]uint64
+	var rerr error
+	perr := resilience.Capture(func() {
+		if r.opts.FaultHook != nil {
+			for _, i := range plan.membersOf(bt) {
+				if !r.settled(int(i)) {
+					r.opts.FaultHook(int(i))
+				}
+			}
+		}
+		if *arena == nil {
+			*arena = faults.NewLaneInjectedPlanes(2, r.opts.Width, r.opts.Ports, batchPlanes, nil)
+		}
+		(*arena).ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
+		_, rerr = (*arena).Replay(plan.projs[bt.proj], &fail)
+	})
+	if perr != nil {
+		*arena = nil
+		return perr
+	}
+	if rerr != nil {
+		return fmt.Errorf("coverage: batch %d (%d classes): %w", b, bt.hi-bt.lo, rerr)
+	}
+	r.commitClasses(plan, bt, &fail)
+	r.mBatch.ObserveSince(t0)
+	r.mBatches.Add(1)
+	r.mLanes.Observe(int64(bt.hi - bt.lo))
+	r.mClassLanes.Add(int64(bt.hi - bt.lo))
+	r.mFaults.Add(int64(pending))
+	return nil
 }

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/chaos"
 	"repro/internal/faults"
@@ -72,7 +75,7 @@ func TestSlicedMatchesWholeAndScalar(t *testing.T) {
 					alg, _ := march.ByName(name)
 					what := fmt.Sprintf("%s on %s %dx%dx%d", name, arch, g.size, g.width, g.ports)
 					opts := Options{Size: g.size, Width: g.width, Ports: g.ports}
-					if ok, _, err := streamVerified(alg, arch, opts); err != nil {
+					if ok, err := streamVerified(alg, arch, opts); err != nil {
 						t.Fatal(err)
 					} else if ok && !raceflag.Enabled {
 						if exhaustive[name] == nil {
@@ -183,46 +186,24 @@ func TestClassAcrossWorkersShardsResume(t *testing.T) {
 	}
 }
 
-// TestClassGradeChecksWholeGoodMachine pins the whole-stream
-// good-machine check: a stream whose wrong expected read hits a word
-// no sampled fault touches passes every class batch, so only the check
-// run when the plan is built can fail the grade.
+// TestClassGradeChecksWholeGoodMachine pins the plan build's
+// good-machine check: batches check the good machine only on their own
+// words, so the plan build checks it once on the surrogate's stream. An
+// algorithm whose read expects a 1 after it wrote 0 misreads there, and
+// the plan build must refuse it.
 func TestClassGradeChecksWholeGoodMachine(t *testing.T) {
 	planCache.Flush()
 	defer planCache.Flush()
-	alg, _ := march.ByName("marchc")
-	opts := Options{Size: 32, Workers: 1, Universe: faults.UniverseOpts{CellSample: 2, CouplingPairs: 2, AddrSample: 1, Seed: 5}}
-	opts.normalise()
-	u := cachedUniverse(opts)
-	touched := map[int32]bool{}
-	for _, f := range u.faults {
-		w, n := faults.Support(f, opts.Width)
-		for _, a := range w[:n] {
-			touched[a] = true
+	alg := march.Algorithm{Name: "misreads", Elements: []march.Element{
+		{Order: march.Up, Ops: []march.Op{march.W(false)}},
+		{Order: march.Down, Ops: []march.Op{march.R(false), march.R(true)}},
+	}}
+	for _, size := range []int{1, 3, 32} {
+		opts := Options{Size: size, Width: 4, Workers: 1}
+		opts.normalise()
+		if _, err := cachedClassPlan(alg, opts, cachedUniverse(opts)); err == nil {
+			t.Errorf("size %d: plan build accepted a stream whose fault-free machine misreads", size)
 		}
-	}
-	stream, ok, err := verifyStream(alg, Microcode, opts)
-	if err != nil || !ok {
-		t.Fatalf("capture: ok=%v err=%v", ok, err)
-	}
-	bad := append([]march.StreamOp(nil), stream...)
-	corrupted := -1
-	for i, op := range bad {
-		if !op.Write && !op.Pause && !touched[int32(op.Addr)] {
-			bad[i].Data ^= 1
-			corrupted = op.Addr
-			break
-		}
-	}
-	if corrupted < 0 {
-		t.Fatal("every word is touched by the sampled universe")
-	}
-	r, err := newGradeRun(context.Background(), alg, Microcode, opts, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.gradeBatched(bad); err == nil {
-		t.Fatalf("grade accepted a stream with a wrong expected read at untouched addr %d", corrupted)
 	}
 }
 
@@ -253,10 +234,10 @@ func TestClassPlanKeyedByAlgorithm(t *testing.T) {
 		if want[i], err = Grade(algs[i], Microcode, scalar); err != nil {
 			t.Fatal(err)
 		}
-		if ok, _, err := streamVerified(algs[i], Microcode, opts); err != nil || !ok {
+		if ok, err := streamVerified(algs[i], Microcode, opts); err != nil || !ok {
 			t.Fatalf("%s: capture ok=%v err=%v", text, ok, err)
 		}
-		if plans[i], err = cachedClassPlan(algs[i], opts, cachedUniverse(opts), nil); err != nil {
+		if plans[i], err = cachedClassPlan(algs[i], opts, cachedUniverse(opts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,10 +285,10 @@ func TestClassMemberPanicQuarantinesOnlyIt(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	opts := Options{Size: 32, Width: 4}
 	opts.normalise()
-	if ok, _, err := streamVerified(alg, Microcode, opts); err != nil || !ok {
+	if ok, err := streamVerified(alg, Microcode, opts); err != nil || !ok {
 		t.Fatalf("capture ok=%v err=%v", ok, err)
 	}
-	plan, err := cachedClassPlan(alg, opts, cachedUniverse(opts), nil)
+	plan, err := cachedClassPlan(alg, opts, cachedUniverse(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,11 +350,125 @@ func TestClassPlanKeysOnData(t *testing.T) {
 		{Kind: faults.SA, Cell: 1, Port: faults.AnyPort},
 		{Kind: faults.SA, Cell: 2, Port: faults.AnyPort},
 	}
-	p := buildPartition(universe, 1)
+	p := buildPartition(universe, 3, 1)
 	if p.loc[0] != p.loc[1] {
 		t.Fatal("the two SA0 faults localise differently; the test needs them equal")
 	}
 	if plan, err := buildClassPlan(p, cs); err != nil || len(plan.faults) != 2 {
 		t.Fatalf("%d classes, want 2: projections differing only in data were merged", len(plan.faults))
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// n+1th call on. A one-worker grade asks once per batch claim, so the
+// run stops at the same batch on every path.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestClassVerdictsMatchPerFaultLayer pins the per-fault layer against
+// the class verdicts it stands in for: the same grade kept per class,
+// forced onto the per-fault layer by a no-op FaultHook, and forced by a
+// Checkpoint, renders byte-identical reports (Missed order included),
+// whole and cancelled part-way, and a 3-shard merge renders the same
+// report again. The plain grade must keep no per-fault arrays at all.
+func TestClassVerdictsMatchPerFaultLayer(t *testing.T) {
+	alg, _ := march.ByName("marchc")
+	plain := Options{Size: 48, Width: 4, Ports: 2, Workers: 1}
+	hook := plain
+	hook.FaultHook = func(int) {}
+	ckpt := plain
+	ckpt.CheckpointEvery = 300
+	ckpt.Checkpoint = func(*State) {}
+	variants := []struct {
+		name     string
+		opts     Options
+		perFault bool
+	}{{"class", plain, false}, {"hook", hook, true}, {"checkpoint", ckpt, true}}
+
+	for _, stop := range []int64{-1, 0, 1, 3} {
+		var want *Report
+		for _, v := range variants {
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.n.Store(stop)
+			if stop < 0 {
+				ctx.n.Store(1 << 40)
+			}
+			opts := v.opts
+			opts.normalise()
+			r, err := newGradeRun(ctx, alg, Microcode, opts, cachedUniverse(opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.runEngine(); err != nil {
+				t.Fatal(err)
+			}
+			if (r.graded != nil) != v.perFault {
+				t.Fatalf("%s: per-fault layer present = %v, want %v", v.name, r.graded != nil, v.perFault)
+			}
+			rep, err := r.finish()
+			if (stop >= 0) != (err != nil) || rep.Partial != (stop >= 0) {
+				t.Fatalf("%s stop %d: partial %v, err %v", v.name, stop, rep.Partial, err)
+			}
+			if want == nil {
+				want = rep
+				continue
+			}
+			if !reflect.DeepEqual(rep, want) || rep.String() != want.String() {
+				t.Fatalf("%s stop %d: report differs from the class verdicts':\ngot  %v\nwant %v", v.name, stop, rep, want)
+			}
+		}
+		if stop < 0 {
+			states := make([]*State, 3)
+			for s := range states {
+				var err error
+				if states[s], err = GradeShard(alg, Microcode, plain, s, len(states)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged, err := MergeStates(states...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ReportFromState(alg, Microcode, plain, merged); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("3-shard merge differs from the class verdicts' report (err %v)", err)
+			}
+		}
+	}
+}
+
+// TestWarmClassGradeAllocations bounds what a warm class grade
+// allocates: its Missed list plus 64 KiB for everything else (the
+// report, the class verdicts and the transient Missed bitset). A
+// per-fault array over the 97,712-fault universe would blow it.
+func TestWarmClassGradeAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc pins need a non-race build")
+	}
+	alg, _ := march.ByName("marchc")
+	opts := Options{Size: 512, Width: 4, Workers: 1}
+	for i := 0; i < 2; i++ {
+		if _, err := Grade(alg, Microcode, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Grade(alg, Microcode, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(len(rep.Missed))*uint64(unsafe.Sizeof(faults.Fault{})) + 64<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("warm 512x4 grade allocated %d bytes, budget %d (%d missed faults)", got, budget, len(rep.Missed))
 	}
 }

@@ -17,83 +17,184 @@ import (
 // are equal. A lane's verdict on a projected replay depends on nothing
 // else, so one lane per class decides every member.
 //
+// A support's projection depends only on its shape (supportShape):
+// whether it is one word or two, whether the two are adjacent, and
+// whether it holds word 0 and word size−1. march.FullStream visits the
+// addresses of every element in order, and its data depends only on
+// the background and the port pass, never on the address. So the µops
+// of a support's words interleave alike for every support of a shape,
+// and a projected read is preceded by a sense exactly when the read
+// before it on its port hit a word outside the support, which the
+// shape decides too. A surrogate memory of min(size, surrogateWords)
+// words holds a support of every shape the workload's memory has, and
+// that support projects the surrogate's stream exactly as every
+// support of its shape projects the whole stream.
+//
 // The plan is cached per (algorithm, geometry, universe options). Its
-// build lowers the reference stream to validated µops, checks the
-// fault-free machine on the whole stream, projects every support group
-// of the universe's partition, and keeps each distinct projection as a
-// 2-word CompiledStream that batches replay directly. The whole stream
-// and its compilation are dropped once the plan is built. The
-// architecture is absent from the key: the lane engine only runs
-// architectures whose captured stream equals the reference stream
-// (verifyStream), so they all share one plan.
+// build expands and compiles the surrogate's reference stream only,
+// checks the fault-free machine on it, projects one support per shape
+// the universe holds, and keeps each distinct projection as a 2-word
+// CompiledStream that batches replay directly. The architecture is
+// absent from the key: the lane engine only runs architectures whose
+// captured stream equals the reference stream (verifyStream), so they
+// all share one plan.
 
-// supportGroup is one support of a partition: words[:n], ascending.
-type supportGroup struct {
-	words [2]int32
-	n     int32
+// Support shapes are bit sets. A 1-word memory's one word is both its
+// first and its last; shapes with both edge bits otherwise need a pair.
+const (
+	shapePair     uint8 = 1 << iota // two words
+	shapeAdjacent                   // the two words are adjacent
+	shapeFirst                      // holds word 0
+	shapeLast                       // holds word size−1
+	numShapes     = 1 << 4
+)
+
+// surrogateWords is the surrogate memory's size: the smallest memory
+// holding a support of every shape. A pair of non-adjacent words that
+// holds neither edge needs five (words 1 and 3).
+const surrogateWords = 5
+
+// supportShape returns the shape of the support words[:n] (ascending)
+// in a memory of size words.
+func supportShape(words [2]int32, n int, size int32) uint8 {
+	lo, hi := words[0], words[n-1]
+	var s uint8
+	if n == 2 {
+		s |= shapePair
+		if hi-lo == 1 {
+			s |= shapeAdjacent
+		}
+	}
+	if lo == 0 {
+		s |= shapeFirst
+	}
+	if hi == size-1 {
+		s |= shapeLast
+	}
+	return s
 }
 
-// partition is the universe grouped by support: universe fault i lies
-// in groups[group[i]], and loc[i] is the interned ID of its localised
-// form, local[loc[i]]. Groups are numbered in order of first
-// appearance in the universe.
+// shapeSupport returns a support of the given shape in a memory of size
+// words. The memory must hold one: a shape found in a memory of any
+// size is held by one of min(size, surrogateWords) words.
+func shapeSupport(shape uint8, size int32) (words [2]int32, n int) {
+	first, last := shape&shapeFirst != 0, shape&shapeLast != 0
+	switch {
+	case shape&shapePair == 0 && first:
+		return [2]int32{0}, 1
+	case shape&shapePair == 0 && last:
+		return [2]int32{size - 1}, 1
+	case shape&shapePair == 0:
+		return [2]int32{1}, 1
+	case shape&shapeAdjacent != 0 && first:
+		return [2]int32{0, 1}, 2
+	case shape&shapeAdjacent != 0 && last:
+		return [2]int32{size - 2, size - 1}, 2
+	case shape&shapeAdjacent != 0:
+		return [2]int32{1, 2}, 2
+	case first && last:
+		return [2]int32{0, size - 1}, 2
+	case first:
+		return [2]int32{0, 2}, 2
+	case last:
+		return [2]int32{size - 3, size - 1}, 2
+	default:
+		return [2]int32{1, 3}, 2
+	}
+}
+
+// partition describes every universe fault by two small numbers: fault
+// i's support has shape shape[i], and the fault localises to
+// local[loc[i]]. Bit s of shapes is set when some fault has shape s.
 type partition struct {
-	group  []int32
+	shape  []uint8
 	loc    []int32
-	groups []supportGroup
 	local  []faults.Fault
+	shapes uint16
 }
 
-// buildPartition groups the universe by support and interns every
-// localised fault, in one pass in universe order. The universe lists
-// the faults of one cell or coupling pair together, so the group map
-// is only consulted when the support changes.
-func buildPartition(universe []faults.Fault, width int) *partition {
-	p := &partition{group: make([]int32, len(universe)), loc: make([]int32, len(universe))}
-	groupOf := map[supportGroup]int32{}
-	ids := map[faults.Fault]int32{}
-	var last supportGroup
-	g := int32(-1)
-	for i, f := range universe {
-		words, k := faults.Support(f, width)
-		if sg := (supportGroup{words: words, n: int32(k)}); sg != last {
-			var seen bool
-			if g, seen = groupOf[sg]; !seen {
-				g = int32(len(p.groups))
-				groupOf[sg] = g
-				p.groups = append(p.groups, sg)
-			}
-			last = sg
+// buildPartition computes every fault's support shape and interns its
+// localised form, in one pass in universe order. A localised fault's
+// ID comes from a dense integer key, its template times its local
+// coordinates, looked up in flat tables; the fault is only localised
+// (faults.Localize) the first time its key appears.
+func buildPartition(universe []faults.Fault, size, width int) *partition {
+	p := &partition{shape: make([]uint8, len(universe)), loc: make([]int32, len(universe))}
+	span := 2 * width // cells of a 2-word local memory
+	// base[t] is 1 + the first key of template t, 0 while t is unseen;
+	// ids[key] is 1 + the local ID of key, 0 while key is unseen.
+	var base, ids []int32
+	for i := range universe {
+		f := &universe[i]
+		words, n := faults.Support(*f, width)
+		sh := supportShape(words, n, int32(size))
+		p.shape[i] = sh
+		p.shapes |= 1 << sh
+		t := localTemplate(f)
+		if t >= len(base) {
+			base = append(base, make([]int32, t+1-len(base))...)
 		}
-		p.group[i] = g
-		lf := faults.Localize(f, width, words[:k])
-		id, seen := ids[lf]
-		if !seen {
-			id = int32(len(p.local))
-			p.local = append(p.local, lf)
-			ids[lf] = id
+		if base[t] == 0 {
+			base[t] = int32(len(ids)) + 1
+			ids = append(ids, make([]int32, localSpan(f.Kind, span))...)
 		}
-		p.loc[i] = id
+		key := int(base[t]-1) + localCoord(f, width, words[0])
+		if ids[key] == 0 {
+			p.local = append(p.local, faults.Localize(*f, width, words[:n]))
+			ids[key] = int32(len(p.local))
+		}
+		p.loc[i] = ids[key] - 1
 	}
 	return p
 }
 
-// countingSort returns 0..len(key)-1 stably sorted by key, whose
-// values lie in [0, buckets).
-func countingSort(key []int32, buckets int) []int32 {
-	count := make([]int32, buckets+1)
-	for _, k := range key {
-		count[k+1]++
+// localTemplate numbers the fields of a fault that its local
+// coordinates leave out: kind, value, aggressor value and port.
+func localTemplate(f *faults.Fault) int {
+	t := int(f.Kind) * 4
+	if f.Value {
+		t += 2
 	}
-	for b := 0; b < buckets; b++ {
-		count[b+1] += count[b]
+	if f.AggVal {
+		t++
 	}
-	dst := make([]int32, len(key))
-	for i, k := range key {
-		dst[count[k]] = int32(i)
-		count[k]++
+	return (f.Port+1)*faults.NumKinds*4 + t
+}
+
+// localSpan is the coordinate count of a kind's localised faults in a
+// 2-word local memory of span cells.
+func localSpan(k faults.Kind, span int) int {
+	switch k {
+	case faults.CFin, faults.CFid, faults.CFst:
+		return span * span
+	case faults.AFNone, faults.AFMap, faults.AFMulti:
+		return 4
+	default:
+		return span
 	}
-	return dst
+}
+
+// localCoord numbers the coordinates of f localised onto its support,
+// whose lower word is lo: the local cells or addresses its kind reads,
+// as faults.Localize renumbers them (word lo becomes 0, the other 1).
+func localCoord(f *faults.Fault, width int, lo int32) int {
+	local := func(addr int) int {
+		if int32(addr) == lo {
+			return 0
+		}
+		return 1
+	}
+	switch f.Kind {
+	case faults.CFin, faults.CFid, faults.CFst:
+		agg := local(f.Aggressor/width)*width + f.Aggressor%width
+		return agg*2*width + local(f.Cell/width)*width + f.Cell%width
+	case faults.AFNone:
+		return 0
+	case faults.AFMap, faults.AFMulti:
+		return local(f.Addr)*2 + local(f.AggAddr)
+	default:
+		return f.Cell % width
+	}
 }
 
 // batchPlanes is the plane count of every lane arena: DefaultLanes
@@ -102,9 +203,10 @@ const batchPlanes = DefaultLanes / 64
 
 // classPlan is a universe's projection classes under one stream. Class
 // c replays faults[c] on one lane; its verdict belongs to the universe
-// indices members[memberStart[c]:memberStart[c+1]]. Classes sharing a
-// projection are numbered consecutively, and each batch packs a run of
-// them, so one batch replays one projection.
+// indices members[memberStart[c]:memberStart[c+1]], in universe order,
+// which all share faults[c].Kind. Classes sharing a projection are
+// numbered consecutively, and each batch packs a run of them, so one
+// batch replays one projection.
 type classPlan struct {
 	faults      []faults.Fault
 	memberStart []int32
@@ -138,26 +240,22 @@ type planKey struct {
 
 var planCache = artifact.New[planKey, *classPlan]("plan", 0)
 
-// cachedClassPlan returns the class plan of the workload. ref is the
-// reference stream if the caller has just expanded it (see
-// streamVerified), or nil; a plan build without it expands the stream
-// again.
-func cachedClassPlan(alg march.Algorithm, opts Options, u *faultUniverse, ref []march.StreamOp) (*classPlan, error) {
+// cachedClassPlan returns the class plan of the workload.
+func cachedClassPlan(alg march.Algorithm, opts Options, u *faultUniverse) (*classPlan, error) {
 	key := planKey{
 		algFP: march.Fingerprint(alg),
 		size:  opts.Size, width: opts.Width, ports: opts.Ports,
 		uopts: opts.Universe,
 	}
 	return planCache.Get(key, func() (*classPlan, error) {
-		if ref == nil {
-			ref = referenceStream(alg, opts)
-		}
-		cs, err := compileStream(opts, ref)
+		cs, err := surrogateStream(alg, opts)
 		if err != nil {
-			return nil, fmt.Errorf("verified stream fails µop validation: %w", err)
+			return nil, err
 		}
-		// Batches check the good machine only on their own words, so
-		// the whole stream's check, run here once, gates every grade.
+		// Batches check the good machine only on their own words. A
+		// word's fault-free behaviour is its 1-word projection, and the
+		// surrogate holds a word of every 1-word shape, so its check
+		// stands for the whole stream's.
 		if err := cs.GoodMachineErr(); err != nil {
 			return nil, err
 		}
@@ -165,16 +263,28 @@ func cachedClassPlan(alg march.Algorithm, opts Options, u *faultUniverse, ref []
 	})
 }
 
-// compileStream lowers march.StreamOps into the flat µop form:
+// surrogateStream expands and compiles the reference stream of the
+// surrogate memory: min(Size, surrogateWords) words of the workload's
+// width and ports.
+func surrogateStream(alg march.Algorithm, opts Options) (*faults.CompiledStream, error) {
+	opts.Size = min(opts.Size, surrogateWords)
+	cs, err := lowerStream(referenceStream(alg, opts), opts.Size, opts.Width, opts.Ports)
+	if err != nil {
+		return nil, fmt.Errorf("surrogate stream fails µop validation: %w", err)
+	}
+	return cs, nil
+}
+
+// lowerStream lowers march.StreamOps into the flat µop form:
 // pre-resolved first-cell indices, expected-value words and validated
 // port/address bounds. Options.Validate keeps ports within the µop's
 // port byte.
-func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
+func lowerStream(stream []march.StreamOp, size, width, ports int) (*faults.CompiledStream, error) {
 	uops := make([]faults.UOp, len(stream))
 	for i, op := range stream {
 		u := faults.UOp{
 			Kind: faults.UOpRead, Port: uint8(op.Port),
-			Addr: int32(op.Addr), Cell: int32(op.Addr * opts.Width),
+			Addr: int32(op.Addr), Cell: int32(op.Addr * width),
 			Data: op.Data,
 		}
 		switch {
@@ -185,98 +295,96 @@ func compileStream(opts Options, stream []march.StreamOp) (*faults.CompiledStrea
 		}
 		uops[i] = u
 	}
-	return faults.NewCompiledStream(opts.Size, opts.Width, opts.Ports, uops)
+	return faults.NewCompiledStream(size, width, ports, uops)
 }
 
-// buildClassPlan classes a partition under a compiled stream. Each
-// support group's projection is compared µop by µop with the distinct
-// projections seen so far (hash first), and each distinct one is
-// compiled as a 2-word stream; classes are then numbered projection by
-// projection, in universe order, and split into batches of at most
+// buildClassPlan classes a partition under the surrogate's compiled
+// stream. It projects one support per shape the partition holds,
+// merges projections with equal µops and compiles each distinct one as
+// a 2-word stream. Classes, one per (projection, localised fault), are
+// numbered projection by projection, each in order of its first member
+// in the universe, and split into batches of at most
 // BatchLimit(batchPlanes) lanes. A class's members are in universe
 // order.
 func buildClassPlan(p *partition, cs *faults.CompiledStream) (*classPlan, error) {
-	proj := make([]int32, len(p.groups))
+	size, width, ports := cs.Geometry()
 	var (
-		seqs     []faults.UOp
-		seqStart = []int32{0} // projection c is seqs[seqStart[c]:seqStart[c+1]]
-		byHash   = map[uint64][]int32{}
-		buf      []faults.UOp
+		projOf [numShapes]int32
+		seqs   [][]faults.UOp
 	)
-	for g, sg := range p.groups {
-		buf = cs.Project(sg.words[:sg.n], buf[:0])
-		h := hashUOps(buf)
-		id := int32(-1)
-		for _, c := range byHash[h] {
-			if slices.Equal(seqs[seqStart[c]:seqStart[c+1]], buf) {
-				id = c
-				break
-			}
+	for s := range numShapes {
+		if p.shapes&(1<<s) == 0 {
+			continue
 		}
+		words, n := shapeSupport(uint8(s), int32(size))
+		seq := cs.Project(words[:n], nil)
+		id := slices.IndexFunc(seqs, func(q []faults.UOp) bool { return slices.Equal(q, seq) })
 		if id < 0 {
-			id = int32(len(seqStart) - 1)
-			seqs = append(seqs, buf...)
-			seqStart = append(seqStart, int32(len(seqs)))
-			byHash[h] = append(byHash[h], id)
+			id = len(seqs)
+			seqs = append(seqs, seq)
 		}
-		proj[g] = id
+		projOf[s] = int32(id)
 	}
 
-	// Number classes projection by projection: visit the universe
-	// sorted by projection; stamp[l] is the last projection local fault
-	// l was seen under, cls[l] its class there.
-	faultProj := make([]int32, len(p.group))
-	for i, g := range p.group {
-		faultProj[i] = proj[g]
-	}
-	stamp := make([]int32, len(p.local))
-	cls := make([]int32, len(p.local))
-	for l := range stamp {
-		stamp[l] = -1
-	}
-	classOf := faultProj // reused: each entry is read before it is overwritten
-	var classLoc, classProj, count []int32
-	for _, i := range countingSort(faultProj, len(seqStart)-1) {
-		pj, l := faultProj[i], p.loc[i]
-		if stamp[l] != pj {
-			stamp[l], cls[l] = pj, int32(len(classLoc))
-			classLoc = append(classLoc, l)
-			classProj = append(classProj, pj)
-			count = append(count, 0)
+	// A class's key is proj*nl + its local ID. cls[key] is 1 + its
+	// class in order of first appearance, then 1 + its final number
+	// once the classes are sorted stably by projection.
+	nl := int32(len(p.local))
+	cls := make([]int32, int32(len(seqs))*nl)
+	var keys []int32
+	for i, s := range p.shape {
+		k := projOf[s]*nl + p.loc[i]
+		if cls[k] == 0 {
+			keys = append(keys, k)
+			cls[k] = int32(len(keys))
 		}
-		classOf[i] = cls[l]
-		count[cls[l]]++
 	}
+	order := make([]int32, len(keys))
+	for c := range order {
+		order[c] = keys[c] / nl
+	}
+	order = countingSort(order, len(seqs))
 
-	_, width, ports := cs.Geometry()
 	plan := &classPlan{
-		faults:      make([]faults.Fault, len(classLoc)),
-		memberStart: make([]int32, len(classLoc)+1),
-		members:     make([]int32, len(p.group)),
-		projs:       make([]*faults.CompiledStream, len(seqStart)-1),
+		faults:      make([]faults.Fault, len(keys)),
+		memberStart: make([]int32, len(keys)+1),
+		members:     make([]int32, len(p.shape)),
+		projs:       make([]*faults.CompiledStream, len(seqs)),
 	}
-	for pj := range plan.projs {
+	classProj := make([]int32, len(keys))
+	for c, first := range order {
+		k := keys[first]
+		cls[k] = int32(c) + 1
+		classProj[c] = k / nl
+		plan.faults[c] = p.local[k%nl]
+	}
+	for pj, seq := range seqs {
 		var err error
-		if plan.projs[pj], err = faults.NewCompiledStream(2, width, ports, seqs[seqStart[pj]:seqStart[pj+1]]); err != nil {
+		if plan.projs[pj], err = faults.NewCompiledStream(2, width, ports, seq); err != nil {
 			return nil, fmt.Errorf("projection %d fails µop validation: %w", pj, err)
 		}
 	}
-	for c, l := range classLoc {
-		plan.faults[c] = p.local[l]
-		plan.memberStart[c+1] = plan.memberStart[c] + count[c]
+	// Count members into memberStart[c+1], sum, then fill in universe
+	// order through a cursor per class.
+	for i, s := range p.shape {
+		plan.memberStart[cls[projOf[s]*nl+p.loc[i]]]++
 	}
-	fill := count // dead once the member offsets are summed
+	for c := range keys {
+		plan.memberStart[c+1] += plan.memberStart[c]
+	}
+	fill := order // dead once the classes are numbered
 	copy(fill, plan.memberStart)
-	for i, c := range classOf {
+	for i, s := range p.shape {
+		c := cls[projOf[s]*nl+p.loc[i]] - 1
 		plan.members[fill[c]] = int32(i)
 		fill[c]++
 	}
 
 	capacity := int32(faults.BatchLimit(batchPlanes))
-	for lo := int32(0); lo < int32(len(classLoc)); {
+	for lo := int32(0); lo < int32(len(keys)); {
 		pj := classProj[lo]
 		hi := lo + 1
-		for hi < int32(len(classLoc)) && hi-lo < capacity && classProj[hi] == pj {
+		for hi < int32(len(keys)) && hi-lo < capacity && classProj[hi] == pj {
 			hi++
 		}
 		plan.batches = append(plan.batches, classBatch{
@@ -289,12 +397,20 @@ func buildClassPlan(p *partition, cs *faults.CompiledStream) (*classPlan, error)
 	return plan, nil
 }
 
-// hashUOps is FNV-1a over the fields replay reads, two words per µop.
-func hashUOps(ops []faults.UOp) uint64 {
-	h := uint64(14695981039346656037)
-	for _, op := range ops {
-		h = (h ^ op.Data) * 1099511628211
-		h = (h ^ (uint64(uint32(op.Addr)) | uint64(op.Kind)<<32 | uint64(op.Port)<<40)) * 1099511628211
+// countingSort returns 0..len(key)-1 stably sorted by key, whose
+// values lie in [0, buckets).
+func countingSort(key []int32, buckets int) []int32 {
+	count := make([]int32, buckets+1)
+	for _, k := range key {
+		count[k+1]++
 	}
-	return h
+	for b := 0; b < buckets; b++ {
+		count[b+1] += count[b]
+	}
+	dst := make([]int32, len(key))
+	for i, k := range key {
+		dst[count[k]] = int32(i)
+		count[k]++
+	}
+	return dst
 }

@@ -63,8 +63,9 @@ type Engine uint8
 const (
 	// EngineAuto captures the architecture's operation stream on a
 	// fault-free memory and, when it matches the canonical reference
-	// stream, replays it over 63-fault lane batches; otherwise it falls
-	// back to EngineScalar. Reports are byte-identical either way.
+	// stream, grades on the lane engine: one lane per projection
+	// class, up to DefaultLanes-1 classes per batch replay. Otherwise it
+	// falls back to EngineScalar. Reports are byte-identical either way.
 	EngineAuto Engine = iota
 	// EngineScalar simulates one fault at a time: a fresh injected
 	// memory and one complete test execution per fault — the oracle the
@@ -131,9 +132,7 @@ type Options struct {
 // DefaultLanes is the lane engine's logical lane width: 256 lanes (4
 // bit-planes) per replay, one good machine and 255 classes. Batches
 // replay a 1–2-word projection, so the width only sets how many
-// classes share one replay: warm grades at 64 to 512 lanes measured
-// within noise of each other on most workloads (EXPERIMENTS.md X10),
-// and reports are identical at every width.
+// classes share one replay; reports do not depend on it.
 const DefaultLanes = 256
 
 func (o *Options) normalise() {
@@ -248,20 +247,20 @@ type universeKey struct {
 	opts        faults.UniverseOpts
 }
 
-// faultUniverse is a cached universe. Its support partition
-// (compile.go), which only the lane engine reads, is built on first
-// use and kept with it.
+// faultUniverse is a cached universe. Its partition into support
+// shapes and localised faults (compile.go), which only the lane engine
+// reads, is built on first use and kept with it.
 type faultUniverse struct {
-	faults   []faults.Fault
-	width    int
-	partOnce sync.Once
-	part     *partition
+	faults      []faults.Fault
+	size, width int
+	partOnce    sync.Once
+	part        *partition
 }
 
-// partition returns the universe's support partition, building it on
-// the first call.
+// partition returns the universe's partition, building it on the first
+// call.
 func (u *faultUniverse) partition() *partition {
-	u.partOnce.Do(func() { u.part = buildPartition(u.faults, u.width) })
+	u.partOnce.Do(func() { u.part = buildPartition(u.faults, u.size, u.width) })
 	return u.part
 }
 
@@ -270,7 +269,10 @@ var universeCache = artifact.New[universeKey, *faultUniverse]("universe", 0)
 func cachedUniverse(opts Options) *faultUniverse {
 	key := universeKey{size: opts.Size, width: opts.Width, opts: opts.Universe}
 	u, _ := universeCache.Get(key, func() (*faultUniverse, error) {
-		return &faultUniverse{faults: faults.Universe(opts.Size, opts.Width, opts.Universe), width: opts.Width}, nil
+		return &faultUniverse{
+			faults: faults.Universe(opts.Size, opts.Width, opts.Universe),
+			size:   opts.Size, width: opts.Width,
+		}, nil
 	})
 	return u
 }
@@ -313,12 +315,12 @@ func gradeUniverse(ctx context.Context, alg march.Algorithm, arch Architecture, 
 // stream matches the reference stream, the scalar oracle otherwise.
 func (r *gradeRun) runEngine() error {
 	if r.opts.Engine == EngineAuto {
-		ok, ref, err := streamVerified(r.alg, r.arch, r.opts)
+		ok, err := streamVerified(r.alg, r.arch, r.opts)
 		if err != nil {
 			return err
 		}
 		if ok {
-			return r.gradeBatched(ref)
+			return r.gradeBatched()
 		}
 		// The captured stream diverged from the reference stream (e.g.
 		// a decomposed prog-FSM program): grade with the scalar oracle.

@@ -3,6 +3,7 @@ package coverage
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,18 @@ import (
 	"repro/internal/resilience"
 )
 
-// gradeRun owns the mutable state of one grading run: the per-fault
-// verdict arrays, the quarantine list and the checkpoint cadence. All
-// mutation funnels through the mutex, so a Checkpoint snapshot is
-// always a consistent cut no matter how many workers are grading, and
-// the race detector stays quiet across engines.
+// gradeRun owns the mutable state of one grading run: the verdicts,
+// the quarantine list and the checkpoint cadence. All mutation funnels
+// through the mutex, so a Checkpoint snapshot is always a consistent
+// cut no matter how many workers are grading, and the race detector
+// stays quiet across engines.
+//
+// The lane engine keeps one verdict per projection class: a done and a
+// detected bit per class, from which the report is weighted by member
+// count. Per-fault verdict arrays are a layer over that, built only
+// when the run needs per-fault identity (perFaultLocked): to resume, to
+// grade a shard range, to checkpoint, to call a FaultHook, to retry a
+// panicked batch's members one by one, and on the scalar engine.
 type gradeRun struct {
 	ctx      context.Context
 	alg      march.Algorithm
@@ -26,21 +34,32 @@ type gradeRun struct {
 	u        *faultUniverse
 	universe []faults.Fault // u.faults
 
-	// resumed marks faults settled by Options.Resume. It is immutable
-	// once workers start, so they read it without the lock.
+	// resumed marks faults settled before grading starts: by
+	// Options.Resume, or by lying outside a shard's range. It is nil
+	// when there are none, and immutable once workers start, so they
+	// read it without the lock.
 	resumed []bool
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// plan is the lane engine's class plan; while graded is nil,
+	// classDone[c] and classDet[c] are class c's verdict.
+	plan                *classPlan
+	classDone, classDet []bool
+	// graded and detected are the per-fault layer, nil until the run
+	// needs it; from then on they hold every verdict.
 	graded      []bool
 	detected    []bool
 	quarantined []FaultVerdict
-	gradedCount int
 	sinceCkpt   int
 
 	mQuarantined *obs.Counter
 	mRetries     *obs.Counter
 	mCheckpoints *obs.Counter
 	mFaults      *obs.Counter
+	mBatches     *obs.Counter
+	mClassLanes  *obs.Counter
+	mLanes       *obs.Span
+	mBatch       *obs.Span
 }
 
 func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, opts Options, u *faultUniverse) (*gradeRun, error) {
@@ -48,20 +67,20 @@ func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, op
 		ctx = context.Background() //mbist:exempt ctxflow nil-context guard for internal callers, not an invented root
 	}
 	reg := obs.Active()
-	// One backing allocation for the three per-fault bit arrays (full
-	// capacity slices, so appends can never alias across them).
 	universe := u.faults
-	n := len(universe)
-	flags := make([]bool, 3*n)
 	r := &gradeRun{
 		ctx: ctx, alg: alg, arch: arch, opts: opts, u: u, universe: universe,
-		resumed:      flags[0:n:n],
-		graded:       flags[n : 2*n : 2*n],
-		detected:     flags[2*n : 3*n : 3*n],
 		mQuarantined: reg.Counter("coverage.quarantined"),
 		mRetries:     reg.Counter("coverage.panic_retries"),
 		mCheckpoints: reg.Counter("coverage.checkpoints"),
 		mFaults:      reg.Counter("coverage.faults_graded"),
+		mBatches:     reg.Counter("coverage.batches_replayed"),
+		mClassLanes:  reg.Counter("coverage.class_lanes"),
+		mLanes:       reg.Span("coverage.batch_lanes"),
+		mBatch:       reg.Span("coverage.batch_ns"),
+	}
+	if opts.Resume != nil || opts.Engine == EngineScalar || opts.Checkpoint != nil || opts.FaultHook != nil {
+		r.perFaultLocked(opts.Resume != nil)
 	}
 	if s := opts.Resume; s != nil {
 		if len(s.Graded) != len(universe) || len(s.Detected) != len(universe) {
@@ -71,11 +90,6 @@ func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, op
 		copy(r.graded, s.Graded)
 		copy(r.detected, s.Detected)
 		copy(r.resumed, s.Graded)
-		for _, g := range s.Graded {
-			if g {
-				r.gradedCount++
-			}
-		}
 		for _, q := range s.Quarantined {
 			if q.Index < 0 || q.Index >= len(universe) || !s.Graded[q.Index] {
 				return nil, fmt.Errorf("coverage: resume state quarantines fault %d outside its graded set", q.Index)
@@ -86,34 +100,110 @@ func newGradeRun(ctx context.Context, alg march.Algorithm, arch Architecture, op
 	return r, nil
 }
 
+// settled reports whether fault i was settled before grading started.
+func (r *gradeRun) settled(i int) bool { return r.resumed != nil && r.resumed[i] }
+
+// pending counts the members not settled before grading started.
+func (r *gradeRun) pending(members []int32) int {
+	if r.resumed == nil {
+		return len(members)
+	}
+	n := 0
+	for _, i := range members {
+		if !r.resumed[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// usePlan hands the run the lane engine's plan before workers start.
+// Without a per-fault layer the run keeps its verdicts per class.
+func (r *gradeRun) usePlan(plan *classPlan) {
+	r.mu.Lock()
+	r.plan = plan
+	if r.graded == nil {
+		n := len(plan.faults)
+		flags := make([]bool, 2*n)
+		r.classDone, r.classDet = flags[:n:n], flags[n:]
+	}
+	r.mu.Unlock()
+}
+
+// perFaultLocked gives the run its per-fault layer, if it has none:
+// one verdict pair per universe fault, seeded from the class verdicts
+// committed so far. Per-fault verdicts then replace the class ones.
+// With settle set it also gives the run its resumed marks, from the
+// same allocation when the layer is new. The caller holds r.mu, or
+// owns the run before its workers start.
+func (r *gradeRun) perFaultLocked(settle bool) {
+	n := len(r.universe)
+	settle = settle && r.resumed == nil
+	if r.graded != nil {
+		if settle {
+			r.resumed = make([]bool, n)
+		}
+		return
+	}
+	k := 2
+	if settle {
+		k = 3
+	}
+	flags := make([]bool, k*n)
+	r.graded, r.detected = flags[:n:n], flags[n:2*n:2*n]
+	if settle {
+		r.resumed = flags[2*n:]
+	}
+	for c, done := range r.classDone {
+		if !done {
+			continue
+		}
+		for _, i := range r.plan.members[r.plan.memberStart[c]:r.plan.memberStart[c+1]] {
+			r.graded[i] = true
+			r.detected[i] = r.classDet[c]
+		}
+	}
+	r.classDone, r.classDet = nil, nil
+}
+
 // record commits one fault's verdict.
 //
 //mbist:hotpath
 func (r *gradeRun) record(i int, detected bool) {
 	r.mu.Lock()
+	r.perFaultLocked(false)
 	r.graded[i] = true
 	r.detected[i] = detected
-	r.gradedCount++
 	r.maybeCheckpointLocked(1)
 	r.mu.Unlock()
 }
 
 // commitClasses commits a class batch's verdicts in one critical
 // section: class b.lo+k rode logical lane k+1 (plane (k+1)/64, bit
-// (k+1)%64 of the fail masks), and its verdict settles every member of
-// the class. Faults already settled by a resumed checkpoint keep their
-// prior verdict (the replay result is identical anyway — verdicts are
+// (k+1)%64 of the fail masks). Without a per-fault layer that sets the
+// classes' verdict bits; with one, the verdict settles each member.
+// Faults already settled before grading started keep their prior
+// verdict (the replay result is identical anyway — verdicts are
 // deterministic — but the resumed state stays authoritative).
 //
 //mbist:hotpath
 func (r *gradeRun) commitClasses(plan *classPlan, b *classBatch, fail *[faults.MaxPlanes]uint64) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.graded == nil {
+		for c := b.lo; c < b.hi; c++ {
+			l := c - b.lo + 1
+			r.classDone[c] = true
+			r.classDet[c] = fail[l>>6]>>uint(l&63)&1 == 1
+		}
+		return
+	}
 	n := 0
 	for c := b.lo; c < b.hi; c++ {
 		l := c - b.lo + 1
 		d := fail[l>>6]>>uint(l&63)&1 == 1
 		for _, ui := range plan.members[plan.memberStart[c]:plan.memberStart[c+1]] {
-			if r.resumed[ui] {
+			if r.settled(int(ui)) {
 				continue
 			}
 			r.graded[ui] = true
@@ -121,9 +211,7 @@ func (r *gradeRun) commitClasses(plan *classPlan, b *classBatch, fail *[faults.M
 			n++
 		}
 	}
-	r.gradedCount += n
 	r.maybeCheckpointLocked(n)
-	r.mu.Unlock()
 }
 
 // quarantine settles fault i as unjudgeable: grading it panicked and
@@ -131,8 +219,8 @@ func (r *gradeRun) commitClasses(plan *classPlan, b *classBatch, fail *[faults.M
 // message so reports stay byte-identical across runs and worker counts.
 func (r *gradeRun) quarantine(i int, cause error) {
 	r.mu.Lock()
+	r.perFaultLocked(false)
 	r.graded[i] = true
-	r.gradedCount++
 	r.quarantined = append(r.quarantined, FaultVerdict{
 		Index: i, Fault: r.universe[i].String(), Err: cause.Error(),
 	})
@@ -158,18 +246,28 @@ func (r *gradeRun) checkpointLocked() {
 	r.mCheckpoints.Add(1)
 }
 
-// snapshotLocked deep-copies the verdict state; the caller-facing State
-// never aliases worker-mutated arrays. Quarantine entries are sorted by
-// universe index so snapshots are deterministic for a given verdict
-// set, regardless of which worker quarantined first.
+// snapshotLocked deep-copies the per-fault layer; the caller-facing
+// State never aliases worker-mutated arrays. Quarantine entries are
+// sorted by universe index so snapshots are deterministic for a given
+// verdict set, regardless of which worker quarantined first.
 func (r *gradeRun) snapshotLocked() *State {
-	s := &State{
+	r.perFaultLocked(false)
+	return &State{
 		Graded:      append([]bool(nil), r.graded...),
 		Detected:    append([]bool(nil), r.detected...),
-		Quarantined: append([]FaultVerdict(nil), r.quarantined...),
+		Quarantined: r.sortedQuarantine(),
 	}
-	sort.Slice(s.Quarantined, func(a, b int) bool { return s.Quarantined[a].Index < s.Quarantined[b].Index })
-	return s
+}
+
+// sortedQuarantine returns a copy of the quarantine list sorted by
+// universe index, nil when it is empty.
+func (r *gradeRun) sortedQuarantine() []FaultVerdict {
+	if len(r.quarantined) == 0 {
+		return nil
+	}
+	q := append([]FaultVerdict(nil), r.quarantined...)
+	sort.Slice(q, func(a, b int) bool { return q[a].Index < q[b].Index })
+	return q
 }
 
 // finish writes the final checkpoint, renders the report and surfaces
@@ -189,6 +287,8 @@ func (r *gradeRun) finish() (*Report, error) {
 	return rep, nil
 }
 
+// buildReportLocked renders the report from the class verdicts, or
+// from the per-fault layer when the run has one.
 func (r *gradeRun) buildReportLocked() *Report {
 	rep := &Report{
 		Algorithm:    r.alg.Name,
@@ -196,55 +296,106 @@ func (r *gradeRun) buildReportLocked() *Report {
 		ByKind:       make(map[faults.Kind]Ratio, 16),
 		Universe:     len(r.universe),
 	}
-	var inQuarantine map[int]bool
-	if len(r.quarantined) > 0 {
-		inQuarantine = make(map[int]bool, len(r.quarantined))
-		for _, q := range r.quarantined {
-			inQuarantine[q.Index] = true
+	// Tally per-kind ratios into a flat array (Kind is a small enum) and
+	// build the map once at the end.
+	var byKind [faults.NumKinds]Ratio
+	if r.graded == nil && r.plan != nil {
+		r.classTallyLocked(rep, &byKind)
+	} else {
+		r.faultTallyLocked(rep, &byKind)
+	}
+	for k, kr := range byKind {
+		if kr.Total > 0 {
+			rep.ByKind[faults.Kind(k)] = kr
+			rep.Overall.Total += kr.Total
+			rep.Overall.Detected += kr.Detected
 		}
 	}
+	rep.Partial = rep.Graded < rep.Universe
+	obs.Active().Counter("coverage.detected").Add(int64(rep.Overall.Detected))
+	return rep
+}
+
+// classTallyLocked tallies the class verdicts, each weighted by its
+// member count, and lists the members of undetected classes in
+// universe order through a transient bitset.
+func (r *gradeRun) classTallyLocked(rep *Report, byKind *[faults.NumKinds]Ratio) {
+	plan := r.plan
+	missed := 0
+	for c, done := range r.classDone {
+		if !done {
+			continue
+		}
+		n := int(plan.memberStart[c+1] - plan.memberStart[c])
+		kr := &byKind[plan.faults[c].Kind]
+		rep.Graded += n
+		kr.Total += n
+		if r.classDet[c] {
+			kr.Detected += n
+		} else {
+			missed += n
+		}
+	}
+	if missed == 0 {
+		return
+	}
+	set := make([]uint64, (len(r.universe)+63)/64)
+	for c, done := range r.classDone {
+		if done && !r.classDet[c] {
+			for _, i := range plan.members[plan.memberStart[c]:plan.memberStart[c+1]] {
+				set[i>>6] |= 1 << uint(i&63)
+			}
+		}
+	}
+	rep.Missed = make([]faults.Fault, 0, missed)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			rep.Missed = append(rep.Missed, r.universe[w<<6+bits.TrailingZeros64(word)])
+		}
+	}
+}
+
+// faultTallyLocked tallies the per-fault layer in universe order,
+// walking the sorted quarantine list alongside: quarantined faults
+// count as graded but neither detected nor missed.
+func (r *gradeRun) faultTallyLocked(rep *Report, byKind *[faults.NumKinds]Ratio) {
+	r.perFaultLocked(false)
+	rep.Quarantined = r.sortedQuarantine()
+	q := rep.Quarantined
 	missed := 0
 	for i := range r.universe {
-		if r.graded[i] && !r.detected[i] && !inQuarantine[i] {
+		if !r.graded[i] {
+			continue
+		}
+		for len(q) > 0 && q[0].Index < i {
+			q = q[1:]
+		}
+		if !r.detected[i] && (len(q) == 0 || q[0].Index != i) {
 			missed++
 		}
 	}
 	if missed > 0 {
 		rep.Missed = make([]faults.Fault, 0, missed)
 	}
-	// Tally per-kind ratios into a flat array (Kind is a small enum) and
-	// build the map once at the end: the per-fault map updates were the
-	// hottest part of report construction on cached-universe workloads.
-	var byKind [faults.NumKinds]Ratio
+	q = rep.Quarantined
 	for i, f := range r.universe {
 		if !r.graded[i] {
-			rep.Partial = true
 			continue
 		}
 		rep.Graded++
-		if inQuarantine[i] {
+		for len(q) > 0 && q[0].Index < i {
+			q = q[1:]
+		}
+		if len(q) > 0 && q[0].Index == i {
 			continue
 		}
 		byKind[f.Kind].Total++
-		rep.Overall.Total++
 		if r.detected[i] {
 			byKind[f.Kind].Detected++
-			rep.Overall.Detected++
 		} else {
 			rep.Missed = append(rep.Missed, f)
 		}
 	}
-	for k, kr := range byKind {
-		if kr.Total > 0 {
-			rep.ByKind[faults.Kind(k)] = kr
-		}
-	}
-	if len(r.quarantined) > 0 {
-		rep.Quarantined = append([]FaultVerdict(nil), r.quarantined...)
-		sort.Slice(rep.Quarantined, func(a, b int) bool { return rep.Quarantined[a].Index < rep.Quarantined[b].Index })
-	}
-	obs.Active().Counter("coverage.detected").Add(int64(rep.Overall.Detected))
-	return rep
 }
 
 // claimLoop grades the indices [0, n) with grade(w, i), where w in
@@ -382,7 +533,7 @@ func (r *gradeRun) gradeScalar() error {
 			mWait.ObserveSince(spawned)
 		}
 		ws[w].started = true
-		if r.resumed[i] {
+		if r.settled(i) {
 			return nil
 		}
 		start := mFault.Start()

@@ -81,6 +81,7 @@ func GradeShardContext(ctx context.Context, alg march.Algorithm, arch Architectu
 	// Out-of-shard faults are marked resumed but not graded: every
 	// engine skips them exactly as it skips checkpoint-settled faults,
 	// and the snapshot records verdicts only for this shard's slice.
+	r.perFaultLocked(true)
 	for i := range r.resumed {
 		if i < lo || i >= hi {
 			r.resumed[i] = true

@@ -13,7 +13,7 @@
 // mbistsim's -fault flags) run it first and surface the error. The
 // NewInjected/NewLaneInjected constructors and the per-operation
 // bounds checks panic on the same conditions: they run in the grading
-// hot loop — one constructor call per fault (or per 63-fault batch) of
+// hot loop — one constructor call per fault (or per lane batch) of
 // a universe enumerated by this package, millions per matrix sweep —
 // so a violation there is a programming error in fault enumeration or
 // stream replay, not an input error. The grading pipeline's worker

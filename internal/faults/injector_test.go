@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -377,8 +378,35 @@ func TestUniversePresized(t *testing.T) {
 		{1, 1, UniverseOpts{}},
 		{1, 8, UniverseOpts{}},
 	} {
-		if fs := Universe(c.size, c.width, c.opts); cap(fs) != len(fs) {
+		fs := Universe(c.size, c.width, c.opts)
+		if cap(fs) != len(fs) {
 			t.Errorf("%dx%d %+v: %d faults in a slice of capacity %d", c.size, c.width, c.opts, len(fs), cap(fs))
+		}
+		if n := UniverseLen(c.size, c.width, c.opts); n != len(fs) {
+			t.Errorf("%dx%d %+v: UniverseLen %d, Universe enumerates %d", c.size, c.width, c.opts, n, len(fs))
+		}
+	}
+}
+
+// TestUniverseLenSaturates pins UniverseLen's overflow guard: counts
+// past math.MaxInt saturate instead of wrapping to small or negative
+// values, and sampled coupling pairs are bounded by the ordered pairs
+// that exist.
+func TestUniverseLenSaturates(t *testing.T) {
+	for _, c := range []struct {
+		size, width int
+		opts        UniverseOpts
+		want        int
+	}{
+		{math.MaxInt / 2, 64, UniverseOpts{}, math.MaxInt},
+		{1 << 58, 64, UniverseOpts{Ports: 256}, math.MaxInt},
+		{1 << 40, 8, UniverseOpts{Ports: 2}, 15<<43 + 16<<43 - 16 + 16<<43 - 128 + 2<<43 + 3<<40},
+		{1, 1, UniverseOpts{CouplingPairs: 10}, 15},
+		{2, 1, UniverseOpts{CouplingPairs: 10}, 30 + 8*2 + 3*2},
+		{0, 8, UniverseOpts{}, 0},
+	} {
+		if n := UniverseLen(c.size, c.width, c.opts); n != c.want {
+			t.Errorf("UniverseLen(%d, %d, %+v) = %d, want %d", c.size, c.width, c.opts, n, c.want)
 		}
 	}
 }

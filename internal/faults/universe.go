@@ -1,6 +1,9 @@
 package faults
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // UniverseOpts controls fault-universe generation.
 type UniverseOpts struct {
@@ -34,11 +37,7 @@ func Universe(size, width int, opts UniverseOpts) []Fault {
 	cells := sampleInts(nCells, opts.CellSample, rng)
 	pairs := couplingPairs(nCells, width, opts.CouplingPairs, rng)
 	addrs := sampleInts(size, opts.AddrSample, rng)
-	n := 15*len(cells) + 8*len(pairs) + 2*max(opts.Ports-1, 0)*len(cells)
-	if size > 1 {
-		n += 3 * len(addrs)
-	}
-	fs := make([]Fault, 0, n)
+	fs := make([]Fault, 0, UniverseLen(size, width, opts))
 
 	for _, c := range cells {
 		fs = append(fs,
@@ -95,6 +94,58 @@ func Universe(size, width int, opts UniverseOpts) []Fault {
 		}
 	}
 	return fs
+}
+
+// UniverseLen returns the number of faults Universe(size, width, opts)
+// enumerates, without enumerating them: the count follows from the
+// geometry and the sample bounds alone, never from the seed. It
+// saturates at math.MaxInt instead of overflowing, so a caller can
+// compare an absurd geometry against a budget safely.
+func UniverseLen(size, width int, opts UniverseOpts) int {
+	if size <= 0 || width <= 0 {
+		return 0
+	}
+	nCells := satMul(size, width)
+	cells := sampledLen(nCells, opts.CellSample)
+	var pairs int
+	if opts.CouplingPairs <= 0 {
+		pairs = satMul(2, nCells-1)
+		if width > 1 {
+			pairs = satAdd(pairs, satMul(2, nCells-width))
+		}
+	} else {
+		pairs = min(opts.CouplingPairs, satMul(nCells, nCells-1))
+	}
+	n := satAdd(satMul(15, cells), satMul(8, pairs))
+	n = satAdd(n, satMul(satMul(2, max(opts.Ports-1, 0)), cells))
+	if size > 1 {
+		n = satAdd(n, satMul(3, sampledLen(size, opts.AddrSample)))
+	}
+	return n
+}
+
+// sampledLen is len(sampleInts(n, limit, ·)).
+func sampledLen(n, limit int) int {
+	if limit <= 0 || limit >= n {
+		return n
+	}
+	return limit
+}
+
+// satMul and satAdd are non-negative multiplication and addition that
+// saturate at math.MaxInt.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 func sampleInts(n, limit int, rng *rand.Rand) []int {

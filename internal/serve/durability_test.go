@@ -256,6 +256,58 @@ func TestJournalWithReplayFieldRecovers(t *testing.T) {
 	}
 }
 
+// TestJournalRecoveryRefusesOversizedGrade pins the fault budget on
+// recovery, for journals written before the budget existed: an
+// unfinished grade whose universe exceeds maxGradeFaults is failed with
+// the error POST /v1/jobs would answer, not run, while a finished one
+// keeps serving its report.
+func TestJournalRecoveryRefusesOversizedGrade(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := resilience.OpenJournal(filepath.Join(dir, jobsJournalName), jobsJournalOwner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{
+		`{"op":"accepted","id":"job-3","req":{"kind":"grade","grade":{"algs":"marchc","size":16384,"width":8}}}`,
+		`{"op":"accepted","id":"job-4","req":{"kind":"grade","grade":{"algs":"marchc","size":16384,"width":8}}}`,
+		`{"op":"done","id":"job-4","result":"a finished report"}`,
+	} {
+		if err := j.Append(json.RawMessage(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	s, err := New(Options{Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	job := s.jobs["job-3"]
+	s.mu.Unlock()
+	if job == nil {
+		t.Fatal("job-3 not recovered")
+	}
+	_, _, submitErr := s.Submit(Request{Kind: "grade", Grade: &GradeRequest{Spec: sweep.Spec{Algs: "marchc", Size: 16384, Width: 8}}})
+	st := job.status()
+	if submitErr == nil || st.State != StateFailed || !strings.HasSuffix(st.Error, submitErr.Error()) {
+		t.Fatalf("recovered oversized job: state %s, error %q; submit error %v", st.State, st.Error, submitErr)
+	}
+	s.mu.Lock()
+	done := s.jobs["job-4"]
+	s.mu.Unlock()
+	if done == nil {
+		t.Fatal("job-4 not recovered")
+	}
+	done.mu.Lock()
+	state, result := done.state, done.result
+	done.mu.Unlock()
+	if state != StateDone || result != "a finished report" {
+		t.Fatalf("finished oversized job recovered as %s with report %q", state, result)
+	}
+}
+
 // TestNewRefusesUntrustedJournal pins the corrupt/foreign journal
 // contract New exposes (cmd/mbistd maps these to exit code 4).
 func TestNewRefusesUntrustedJournal(t *testing.T) {

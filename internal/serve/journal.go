@@ -184,17 +184,20 @@ func (s *Server) openJournal(dir string) ([]*Job, error) {
 		job, perr := s.prepJob(*r.accepted.Req)
 		if perr != nil {
 			// The request validated when first accepted; failing now
-			// means the library surface shifted underneath the journal.
-			// Keep the job visible, failed with attribution, instead of
-			// silently dropping it.
+			// means the library surface or a limit shifted underneath
+			// the journal. A job that already ended keeps its terminal
+			// state, since it never runs again; any other stays
+			// visible, failed with attribution, instead of silently
+			// dropped.
 			job = &Job{Kind: r.accepted.Req.Kind, req: *r.accepted.Req}
-			job.fail(fmt.Errorf("recovery: request no longer valid: %w", perr))
+			if r.terminal == nil {
+				job.fail(fmt.Errorf("recovery: request no longer valid: %w", perr))
+			}
 		}
 		job.ID = id
 		job.Key = r.accepted.Key
 		job.checkpoints = r.checkpoints
 		switch {
-		case perr != nil:
 		case r.terminal != nil:
 			job.attempt = r.attempts
 			switch r.terminal.Op {
@@ -206,6 +209,7 @@ func (s *Server) openJournal(dir string) ([]*Job, error) {
 			case opQuarantined:
 				job.quarantine(fmt.Errorf("%s", r.terminal.Error))
 			}
+		case perr != nil:
 		default:
 			// Interrupted mid-flight: re-enqueue from the last
 			// checkpoint. The attempt counter restarts — a crash is not

@@ -21,7 +21,8 @@
 //	GET  /v1/healthz         liveness + queue depth + journal info
 //
 // Submissions are validated synchronously — an unknown algorithm,
-// architecture or engine is a 400 at POST time, not a failed job. A
+// architecture or engine, or a grade whose fault universe exceeds
+// maxGradeFaults, is a 400 at POST time, not a failed job. A
 // body must hold exactly one JSON object (anything after it is a 400)
 // of at most 1 MiB (413 past that).
 // During drain (SIGTERM) or queue saturation submissions return 503
@@ -59,6 +60,7 @@ import (
 	"time"
 
 	mbist "repro"
+	"repro/internal/faults"
 	"repro/internal/fsmbist"
 	"repro/internal/march"
 	"repro/internal/microbist"
@@ -710,6 +712,12 @@ func (s *Server) prepJob(req Request) (*Job, error) {
 	return job, nil
 }
 
+// maxGradeFaults bounds the fault universe of one grade job. A grade
+// holds its universe and its per-fault bookkeeping in memory, so one
+// POST for a huge geometry could pin gigabytes; 2^21 admits 4096×8 on
+// two ports (about 1.6 M faults) and refuses 16384×8 (6.2 M).
+const maxGradeFaults = 1 << 21
+
 func (s *Server) prepGrade(job *Job, req *GradeRequest) error {
 	if req == nil {
 		req = &GradeRequest{}
@@ -717,6 +725,13 @@ func (s *Server) prepGrade(job *Job, req *GradeRequest) error {
 	w, err := req.Spec.Workload()
 	if err != nil {
 		return err
+	}
+	// Counted, not enumerated: the check itself must not allocate the
+	// universe it is there to refuse.
+	o := w.Opts
+	if n := faults.UniverseLen(o.Size, o.Width, faults.UniverseOpts{Ports: o.Ports}); n > maxGradeFaults {
+		return fmt.Errorf("grade of %d×%d on %d port(s) has %d faults, over the %d-fault budget",
+			o.Size, o.Width, o.Ports, n, maxGradeFaults)
 	}
 	timeout, err := req.Spec.TimeoutDuration()
 	if err != nil {

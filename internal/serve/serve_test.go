@@ -185,7 +185,7 @@ func TestLintAssembleAreaJobs(t *testing.T) {
 }
 
 func TestSubmitValidationAndLookupErrors(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 	for _, tc := range []struct {
 		body string
 		want int
@@ -197,6 +197,10 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"width":65}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"ports":257}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":-5}}`, http.StatusBadRequest},
+		// Universes past the fault budget are refused before anything
+		// is enumerated.
+		{`{"kind":"grade","grade":{"algs":"mats+","size":1099511627776}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":16384,"width":8}}`, http.StatusBadRequest},
 		{`{"kind":"lint","lint":{"arch":"quantum"}}`, http.StatusBadRequest},
 		{`{"kind":"assemble","assemble":{"alg":"nosuch"}}`, http.StatusBadRequest},
 		{`{"kind":"area","area":{"table":9}}`, http.StatusBadRequest},
@@ -214,6 +218,14 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("submit %s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+	}
+	// The budget admits 4096×8 on two ports. prepJob validates without
+	// grading, so the 1.6 M-fault job never runs here.
+	for _, g := range []sweep.Spec{{Size: 4096, Width: 8, Ports: 2}, {Size: 16384, Width: 8}} {
+		_, err := s.prepJob(Request{Kind: "grade", Grade: &GradeRequest{Spec: g}})
+		if fits := g.Size == 4096; fits != (err == nil) {
+			t.Errorf("%d×%d×%d: prepJob error %v", g.Size, g.Width, g.Ports, err)
 		}
 	}
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/report", "/v1/jobs/nope/watch"} {
