@@ -33,12 +33,14 @@
 // a full shard set (graded anywhere — goroutines, processes, machines)
 // and prints a matrix byte-identical to the unsharded run. Shard files
 // reuse the checkpoint envelope, so a shard graded under different
-// flags is rejected at merge.
+// flags is rejected at merge. -checkpoint and -resume apply only to a
+// whole-workload run, and -merge prints no -detail report: those
+// combinations are usage errors (exit 1), not silently ignored.
 //
 // Exit codes:
 //
 //	0  success
-//	1  grading or configuration error
+//	1  grading or configuration error, or conflicting flags
 //	2  flag parse error
 //	3  interrupted by SIGINT/SIGTERM or the -timeout deadline (final
 //	   checkpoint written when -checkpoint is set)
@@ -51,13 +53,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
-	mbist "repro"
+	"repro/internal/coverage"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/sweep"
@@ -104,7 +107,7 @@ func main() {
 		fmt.Fprint(flag.CommandLine.Output(), `
 exit codes:
   0  success
-  1  grading or configuration error
+  1  grading or configuration error, or conflicting flags
   2  flag parse error
   3  interrupted by SIGINT/SIGTERM or the -timeout deadline (final checkpoint written when -checkpoint is set)
   4  -resume checkpoint or -merge shard file is corrupt or belongs to a different workload
@@ -116,23 +119,27 @@ exit codes:
 	if err != nil {
 		log.Fatal(err)
 	}
-	runErr := run(spec, *detail, *ckptPath, *ckptEvery, *resume, *shardSpec, *outPath, *mergeList)
+	runErr := run(os.Stdout, spec, *detail, *ckptPath, *ckptEvery, *resume, *shardSpec, *outPath, *mergeList)
 	if err := stop(); err != nil {
 		log.Print(err)
 	}
-	switch {
-	case runErr == nil:
-		os.Exit(exitOK)
-	case errors.Is(runErr, errInterrupted):
+	if runErr != nil {
 		log.Print(runErr)
-		os.Exit(exitInterrupted)
-	case errors.Is(runErr, resilience.ErrCorrupt), errors.Is(runErr, resilience.ErrMismatch):
-		log.Print(runErr)
-		os.Exit(exitBadResume)
-	default:
-		log.Print(runErr)
-		os.Exit(exitError)
 	}
+	os.Exit(exitCode(runErr))
+}
+
+// exitCode maps run's error to the documented exit code.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return exitOK
+	case errors.Is(err, errInterrupted):
+		return exitInterrupted
+	case errors.Is(err, resilience.ErrCorrupt), errors.Is(err, resilience.ErrMismatch):
+		return exitBadResume
+	}
+	return exitError
 }
 
 // checkpointPayload is the mbistcov checkpoint body: one grading State
@@ -140,11 +147,21 @@ exit codes:
 // graded to completion resume instantly (every fault already settled);
 // the in-flight one resumes at its last persisted fault.
 type checkpointPayload struct {
-	Algs   []string                        `json:"algs"`
-	States map[string]*mbist.CoverageState `json:"states"`
+	Algs   []string                   `json:"algs"`
+	States map[string]*coverage.State `json:"states"`
 }
 
-func run(spec sweep.Spec, detail, ckptPath string, ckptEvery int, resume bool, shardSpec, outPath, mergeList string) error {
+func run(stdout io.Writer, spec sweep.Spec, detail, ckptPath string, ckptEvery int, resume bool, shardSpec, outPath, mergeList string) error {
+	switch {
+	case shardSpec != "" && mergeList != "":
+		return fmt.Errorf("-shard and -merge are mutually exclusive")
+	case (shardSpec != "" || mergeList != "") && (ckptPath != "" || resume):
+		return fmt.Errorf("-checkpoint and -resume do not combine with -shard or -merge")
+	case mergeList != "" && detail != "":
+		return fmt.Errorf("-detail does not combine with -merge")
+	case resume && ckptPath == "":
+		return fmt.Errorf("-resume requires -checkpoint")
+	}
 	if detail != "" {
 		spec.Algs = detail
 	}
@@ -154,9 +171,6 @@ func run(spec sweep.Spec, detail, ckptPath string, ckptEvery int, resume bool, s
 		return err
 	}
 	w.Opts.CheckpointEvery = ckptEvery
-	if resume && ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
 
 	// Stop at the next fault boundary on SIGINT/SIGTERM; the grading
 	// engines flush a final checkpoint before returning. A -timeout
@@ -171,50 +185,50 @@ func run(spec sweep.Spec, detail, ckptPath string, ckptEvery int, resume bool, s
 		defer tcancel()
 	}
 
+	var reports []*coverage.Report
 	switch {
-	case shardSpec != "" && mergeList != "":
-		return fmt.Errorf("-shard and -merge are mutually exclusive")
 	case shardSpec != "":
 		return runShard(ctx, w, shardSpec, outPath)
 	case mergeList != "":
-		return runMerge(w, mergeList)
+		reports, err = mergeShards(w, mergeList)
+	default:
+		reports, err = gradeAll(ctx, w, ckptPath, resume)
 	}
-
-	reports, err := gradeAll(ctx, w, ckptPath, resume)
 	if err != nil {
 		return err
 	}
 
 	if detail != "" {
 		rep := reports[0]
-		fmt.Print(rep)
+		fmt.Fprint(stdout, rep)
 		if len(rep.Missed) > 0 {
-			fmt.Printf("missed faults (%d):\n", len(rep.Missed))
+			fmt.Fprintf(stdout, "missed faults (%d):\n", len(rep.Missed))
 			for i, f := range rep.Missed {
 				if i >= 40 {
-					fmt.Printf("  ... %d more\n", len(rep.Missed)-40)
+					fmt.Fprintf(stdout, "  ... %d more\n", len(rep.Missed)-40)
 					break
 				}
-				fmt.Printf("  %v\n", f)
+				fmt.Fprintf(stdout, "  %v\n", f)
 			}
 		}
 		printQuarantine(rep)
 		return nil
 	}
 
-	fmt.Print(w.RenderText(reports))
+	fmt.Fprint(stdout, w.RenderText(reports))
 	for _, rep := range reports {
 		printQuarantine(rep)
 	}
 	return nil
 }
 
-// gradeAll grades the whole workload with optional checkpoint/resume.
-func gradeAll(ctx context.Context, w *sweep.Workload, ckptPath string, resume bool) ([]*mbist.CoverageReport, error) {
+// gradeAll grades the whole workload, persisting every unit's
+// checkpoints to ckptPath (when set) and resuming from it.
+func gradeAll(ctx context.Context, w *sweep.Workload, ckptPath string, resume bool) ([]*coverage.Report, error) {
 	// The workload fingerprint binds a checkpoint to this exact run;
 	// worker count and engine are excluded — verdicts are
 	// byte-identical across both, so a checkpoint resumes under either.
-	payload := checkpointPayload{Algs: w.Names(), States: make(map[string]*mbist.CoverageState)}
+	payload := checkpointPayload{Algs: w.Names(), States: make(map[string]*coverage.State)}
 	fingerprint := w.Fingerprint()
 
 	if resume {
@@ -225,9 +239,8 @@ func gradeAll(ctx context.Context, w *sweep.Workload, ckptPath string, resume bo
 		case err != nil:
 			return nil, err
 		default:
-			payload.States = prior.States
-			if payload.States == nil {
-				payload.States = make(map[string]*mbist.CoverageState)
+			if prior.States != nil {
+				payload.States = prior.States
 			}
 			done := 0
 			for _, st := range payload.States {
@@ -240,37 +253,31 @@ func gradeAll(ctx context.Context, w *sweep.Workload, ckptPath string, resume bo
 	}
 
 	var ckptErr error
-	reports := make([]*mbist.CoverageReport, 0, len(w.Algs))
-	for _, alg := range w.Algs {
-		algOpts := w.Opts
-		if st := payload.States[alg.Name]; st != nil {
-			algOpts.Resume = st
-		}
-		if ckptPath != "" {
-			name := alg.Name
-			algOpts.Checkpoint = func(s *mbist.CoverageState) {
-				payload.States[name] = s
-				if err := resilience.Save(ckptPath, fingerprint, payload); err != nil {
-					ckptErr = err
-				}
+	var o sweep.RunOptions
+	if ckptPath != "" {
+		o.Resume = func(key string) *coverage.State { return payload.States[key] }
+		o.Checkpoint = func(key string, st *coverage.State) {
+			payload.States[key] = st
+			if err := resilience.Save(ckptPath, fingerprint, payload); err != nil {
+				ckptErr = err
 			}
 		}
-		rep, err := mbist.GradeCoverageContext(ctx, alg, w.Arch, algOpts)
-		if err != nil {
-			if ctx.Err() != nil && rep != nil {
-				if ckptErr != nil {
-					return nil, fmt.Errorf("%w%s after %d/%d faults of %s; checkpoint write failed: %v",
-						errInterrupted, cause(ctx), rep.Graded, rep.Universe, alg.Name, ckptErr)
-				}
-				if ckptPath != "" {
-					return nil, fmt.Errorf("%w%s after %d/%d faults of %s; state saved to %s",
-						errInterrupted, cause(ctx), rep.Graded, rep.Universe, alg.Name, ckptPath)
-				}
-				return nil, fmt.Errorf("%w%s after %d/%d faults of %s", errInterrupted, cause(ctx), rep.Graded, rep.Universe, alg.Name)
+	}
+	reports, _, err := w.Run(ctx, o)
+	if err != nil {
+		if n := len(reports); ctx.Err() != nil && n > 0 && reports[n-1].Partial {
+			saved := ""
+			switch {
+			case ckptErr != nil:
+				saved = fmt.Sprintf("; checkpoint write failed: %v", ckptErr)
+			case ckptPath != "":
+				saved = "; state saved to " + ckptPath
 			}
-			return nil, err
+			rep := reports[n-1]
+			return nil, fmt.Errorf("%w%s after %d/%d faults of %s%s",
+				errInterrupted, cause(ctx), rep.Graded, rep.Universe, rep.Algorithm, saved)
 		}
-		reports = append(reports, rep)
+		return nil, err
 	}
 	if ckptErr != nil {
 		log.Printf("warning: checkpoint write failed: %v", ckptErr)
@@ -301,31 +308,23 @@ func runShard(ctx context.Context, w *sweep.Workload, shardSpec, outPath string)
 	return nil
 }
 
-// runMerge combines a full shard set and prints the final matrix,
+// mergeShards combines a full shard set into the final reports,
 // byte-identical to an unsharded run of the same workload.
-func runMerge(w *sweep.Workload, mergeList string) error {
+func mergeShards(w *sweep.Workload, mergeList string) ([]*coverage.Report, error) {
 	var shards []*sweep.Shard
 	for _, path := range strings.Split(mergeList, ",") {
 		s, err := w.LoadShard(strings.TrimSpace(path))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		shards = append(shards, s)
 	}
-	reports, err := w.Merge(shards...)
-	if err != nil {
-		return err
-	}
-	fmt.Print(w.RenderText(reports))
-	for _, rep := range reports {
-		printQuarantine(rep)
-	}
-	return nil
+	return w.Merge(shards...)
 }
 
 // printQuarantine surfaces quarantined faults so a poisoned workload
 // cannot hide inside an otherwise clean matrix.
-func printQuarantine(rep *mbist.CoverageReport) {
+func printQuarantine(rep *coverage.Report) {
 	if len(rep.Quarantined) == 0 {
 		return
 	}

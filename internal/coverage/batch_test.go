@@ -115,7 +115,8 @@ func TestBatchedEngineEngaged(t *testing.T) {
 // on every grading entry point. Width 65 used to panic in stream
 // capture; at 257 ports the µop port byte wrapped port 256 onto port 0
 // and the lane engine disagreed with the scalar oracle; size -5 graded
-// a 16-word memory under a -5-word fingerprint. 256 ports, the largest
+// a 16-word memory under a -5-word fingerprint; 257 workers would let
+// one request size the scalar engine's goroutines. 256 ports, the largest
 // accepted, must still grade byte-identically to the oracle.
 func TestGradeRejectsBadGeometry(t *testing.T) {
 	alg, _ := march.ByName("mats+")
@@ -125,6 +126,7 @@ func TestGradeRejectsBadGeometry(t *testing.T) {
 		{Size: 2, Ports: 257},
 		{Size: 2, Ports: -1},
 		{Size: -5},
+		{Size: 2, Workers: 257},
 	} {
 		if _, err := Grade(alg, Reference, o); err == nil {
 			t.Errorf("Grade %dx%d/%d ports: no error", o.Size, o.Width, o.Ports)

@@ -89,8 +89,8 @@ type Options struct {
 	// Universe tunes fault enumeration; the zero value is exhaustive.
 	Universe faults.UniverseOpts
 	// Workers sets the number of concurrent grading workers; 0 means
-	// runtime.GOMAXPROCS(0), 1 forces the serial path. The report is
-	// byte-identical at any worker count.
+	// runtime.GOMAXPROCS(0), 1 forces the serial path, and more than
+	// 256 is refused. The report is byte-identical at any worker count.
 	//mbist:fingerprint-exclude verdicts are byte-identical at any worker count
 	Workers int
 	// Engine selects the fault-simulation engine (default EngineAuto).
@@ -154,11 +154,16 @@ func (o *Options) normalise() {
 	o.Universe.Ports = o.Ports
 }
 
+// maxWorkers bounds Options.Workers. The scalar engine starts a
+// goroutine per worker (up to one per fault), so without the bound one
+// request would set how many.
+const maxWorkers = 256
+
 // Validate rejects option values that cannot be defaulted away: a
-// negative size, a word width outside [1,64] (a word is one uint64)
-// and a port count outside [1,256] (µops carry the port in a byte).
-// Zero selects the default. Every grading entry point calls it; drivers
-// call it to refuse a workload up front.
+// negative size, a word width outside [1,64] (a word is one uint64),
+// a port count outside [1,256] (µops carry the port in a byte) and
+// more than 256 workers. Zero selects the default. Every grading entry
+// point calls it; drivers call it to refuse a workload up front.
 func (o Options) Validate() error {
 	switch {
 	case o.Size < 0:
@@ -167,6 +172,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("coverage: word width %d outside [1,64]", o.Width)
 	case o.Ports < 0 || o.Ports > 256:
 		return fmt.Errorf("coverage: %d ports outside [1,256]", o.Ports)
+	case o.Workers > maxWorkers:
+		return fmt.Errorf("coverage: %d workers over the %d-worker limit", o.Workers, maxWorkers)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -33,12 +34,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestJournalRecoveryResumesByteIdentical pins the tentpole end to
 // end in-process: a grade job interrupted mid-run (server torn down
 // between checkpoints) is re-enqueued by a new server on the same
-// journal directory, resumes from its last coverage checkpoint, and
-// its final report is byte-identical to an uninterrupted run.
+// journal directory, resumes from its last coverage checkpoints —
+// keyed "<alg>" unsharded and "<alg>#<shard>/<of>" sharded — and its
+// final report is byte-identical to an uninterrupted run.
 func TestJournalRecoveryResumesByteIdentical(t *testing.T) {
-	reg := obs.Enable()
-	defer obs.Disable()
-	dir := t.TempDir()
 	// Big enough that the second checkpoint (at CheckpointEvery=64)
 	// lands long before the run completes — the teardown below must
 	// interrupt the job mid-grade.
@@ -53,65 +52,82 @@ func TestJournalRecoveryResumesByteIdentical(t *testing.T) {
 	}
 	want := w.RenderText(reports)
 
-	s1, err := New(Options{Workers: 1, JournalDir: dir, CheckpointEvery: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, existing, err := s1.Submit(Request{Kind: "grade", Key: "recover-1", Grade: &GradeRequest{Spec: spec}})
-	if err != nil || existing {
-		t.Fatalf("submit: existing=%v err=%v", existing, err)
-	}
-	// Let it journal a few checkpoints, then tear the server down while
-	// the job is mid-flight.
-	waitFor(t, "checkpoints", func() bool { return job.status().Checkpoints >= 2 })
-	s1.Close()
-	if st := job.status(); st.State == StateDone {
-		t.Fatalf("job finished before the interruption; raise the workload size")
-	}
+	for _, shards := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			reg := obs.Enable()
+			defer obs.Disable()
+			dir := t.TempDir()
+			req := Request{Kind: "grade", Key: "recover-1", Grade: &GradeRequest{Spec: spec, Shards: shards}}
 
-	s2, err := New(Options{Workers: 1, JournalDir: dir, CheckpointEvery: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := reg.Counter("serve.jobs_recovered").Value(); got != 1 {
-		t.Errorf("serve.jobs_recovered = %d, want 1", got)
-	}
-	s2.mu.Lock()
-	j2 := s2.jobs[job.ID]
-	s2.mu.Unlock()
-	if j2 == nil {
-		t.Fatalf("job %s not recovered", job.ID)
-	}
-	j2.mu.Lock()
-	resumable := len(j2.resume)
-	j2.mu.Unlock()
-	if resumable == 0 {
-		t.Error("recovered job carries no checkpoint state to resume from")
-	}
-	waitFor(t, "recovered job", func() bool { return j2.status().State.terminal() })
-	st := j2.status()
-	if st.State != StateDone {
-		t.Fatalf("recovered job ended %s: %s", st.State, st.Error)
-	}
-	j2.mu.Lock()
-	got := j2.result
-	j2.mu.Unlock()
-	if got != want {
-		t.Fatalf("resumed report diverges from uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s", got, want)
-	}
-	j2.mu.Lock()
-	held := len(j2.resume)
-	j2.mu.Unlock()
-	if held != 0 {
-		t.Errorf("finished recovered job still holds %d checkpoint states", held)
-	}
+			s1, err := New(Options{Workers: 1, JournalDir: dir, CheckpointEvery: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, existing, err := s1.Submit(req)
+			if err != nil || existing {
+				t.Fatalf("submit: existing=%v err=%v", existing, err)
+			}
+			// Let it journal a few checkpoints, then tear the server down
+			// while the job is mid-flight.
+			waitFor(t, "checkpoints", func() bool { return job.status().Checkpoints >= 2 })
+			s1.Close()
+			if st := job.status(); st.State == StateDone {
+				t.Fatalf("job finished before the interruption; raise the workload size")
+			}
 
-	// The idempotency key survives the restart: resubmitting returns
-	// the completed job instead of grading again.
-	j3, existing, err := s2.Submit(Request{Kind: "grade", Key: "recover-1", Grade: &GradeRequest{Spec: spec}})
-	if err != nil || !existing || j3.ID != job.ID {
-		t.Fatalf("key replay after restart: job=%v existing=%v err=%v", j3, existing, err)
+			s2, err := New(Options{Workers: 1, JournalDir: dir, CheckpointEvery: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if got := reg.Counter("serve.jobs_recovered").Value(); got != 1 {
+				t.Errorf("serve.jobs_recovered = %d, want 1", got)
+			}
+			s2.mu.Lock()
+			j2 := s2.jobs[job.ID]
+			s2.mu.Unlock()
+			if j2 == nil {
+				t.Fatalf("job %s not recovered", job.ID)
+			}
+			j2.mu.Lock()
+			var keys []string
+			for key := range j2.resume {
+				keys = append(keys, key)
+			}
+			j2.mu.Unlock()
+			if len(keys) == 0 {
+				t.Error("recovered job carries no checkpoint state to resume from")
+			}
+			for _, key := range keys {
+				if sharded := strings.HasSuffix(key, fmt.Sprintf("/%d", shards)); sharded != (shards > 0) {
+					t.Errorf("recovered checkpoint key %q for a %d-shard job", key, shards)
+				}
+			}
+			waitFor(t, "recovered job", func() bool { return j2.status().State.terminal() })
+			st := j2.status()
+			if st.State != StateDone {
+				t.Fatalf("recovered job ended %s: %s", st.State, st.Error)
+			}
+			j2.mu.Lock()
+			got := j2.result
+			j2.mu.Unlock()
+			if got != want {
+				t.Fatalf("resumed report diverges from uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s", got, want)
+			}
+			j2.mu.Lock()
+			held := len(j2.resume)
+			j2.mu.Unlock()
+			if held != 0 {
+				t.Errorf("finished recovered job still holds %d checkpoint states", held)
+			}
+
+			// The idempotency key survives the restart: resubmitting
+			// returns the completed job instead of grading again.
+			j3, existing, err := s2.Submit(req)
+			if err != nil || !existing || j3.ID != job.ID {
+				t.Fatalf("key replay after restart: job=%v existing=%v err=%v", j3, existing, err)
+			}
+		})
 	}
 }
 
@@ -256,11 +272,12 @@ func TestJournalWithReplayFieldRecovers(t *testing.T) {
 	}
 }
 
-// TestJournalRecoveryRefusesOversizedGrade pins the fault budget on
-// recovery, for journals written before the budget existed: an
-// unfinished grade whose universe exceeds maxGradeFaults is failed with
-// the error POST /v1/jobs would answer, not run, while a finished one
-// keeps serving its report.
+// TestJournalRecoveryRefusesOversizedGrade pins the fault budget and
+// the shard bound on recovery, for journals written before either
+// existed: an unfinished grade whose universe exceeds maxGradeFaults,
+// or whose shard count exceeds maxGradeShards, is failed with the error
+// POST /v1/jobs would answer, not run, while a finished one keeps
+// serving its report.
 func TestJournalRecoveryRefusesOversizedGrade(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := resilience.OpenJournal(filepath.Join(dir, jobsJournalName), jobsJournalOwner)
@@ -271,6 +288,7 @@ func TestJournalRecoveryRefusesOversizedGrade(t *testing.T) {
 		`{"op":"accepted","id":"job-3","req":{"kind":"grade","grade":{"algs":"marchc","size":16384,"width":8}}}`,
 		`{"op":"accepted","id":"job-4","req":{"kind":"grade","grade":{"algs":"marchc","size":16384,"width":8}}}`,
 		`{"op":"done","id":"job-4","result":"a finished report"}`,
+		`{"op":"accepted","id":"job-5","req":{"kind":"grade","grade":{"algs":"marchc","size":8,"shards":1099511627776}}}`,
 	} {
 		if err := j.Append(json.RawMessage(rec)); err != nil {
 			t.Fatal(err)
@@ -283,16 +301,21 @@ func TestJournalRecoveryRefusesOversizedGrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.mu.Lock()
-	job := s.jobs["job-3"]
-	s.mu.Unlock()
-	if job == nil {
-		t.Fatal("job-3 not recovered")
-	}
-	_, _, submitErr := s.Submit(Request{Kind: "grade", Grade: &GradeRequest{Spec: sweep.Spec{Algs: "marchc", Size: 16384, Width: 8}}})
-	st := job.status()
-	if submitErr == nil || st.State != StateFailed || !strings.HasSuffix(st.Error, submitErr.Error()) {
-		t.Fatalf("recovered oversized job: state %s, error %q; submit error %v", st.State, st.Error, submitErr)
+	for id, g := range map[string]GradeRequest{
+		"job-3": {Spec: sweep.Spec{Algs: "marchc", Size: 16384, Width: 8}},
+		"job-5": {Spec: sweep.Spec{Algs: "marchc", Size: 8}, Shards: 1 << 40},
+	} {
+		s.mu.Lock()
+		job := s.jobs[id]
+		s.mu.Unlock()
+		if job == nil {
+			t.Fatalf("%s not recovered", id)
+		}
+		_, _, submitErr := s.Submit(Request{Kind: "grade", Grade: &g})
+		st := job.status()
+		if submitErr == nil || st.State != StateFailed || !strings.HasSuffix(st.Error, submitErr.Error()) {
+			t.Fatalf("recovered oversized %s: state %s, error %q; submit error %v", id, st.State, st.Error, submitErr)
+		}
 	}
 	s.mu.Lock()
 	done := s.jobs["job-4"]
@@ -335,22 +358,31 @@ func TestNewRefusesUntrustedJournal(t *testing.T) {
 
 // TestDeadlineExpiredJobReturnsPartial pins the acceptance criterion:
 // a grade job whose sweep.Spec timeout expires still goes to done with
-// a valid Partial report and a deadline attribution. The sweep (every
-// library algorithm at 2048x8) takes most of a second on the default
-// lane engine, well past the deadline.
+// a valid Partial report and a deadline attribution — a sharded one
+// with the attribution alone, as its slices cannot merge. The sweep
+// (every library algorithm at 2048x8) takes most of a second on the
+// default lane engine, well past the deadline.
 func TestDeadlineExpiredJobReturnsPartial(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	st := submit(t, ts, `{"kind":"grade","grade":{"size":2048,"width":8,"timeout":"20ms"}}`)
-	final := waitDone(t, ts, st.ID)
-	if !final.DeadlineExceeded {
-		t.Fatalf("status %+v: deadline_exceeded not set (did the full sweep finish inside 20ms?)", final)
-	}
-	text := report(t, ts, st.ID)
-	if !strings.Contains(text, "partial: deadline 20ms exceeded after ") {
-		t.Fatalf("partial report missing deadline attribution:\n%s", text)
-	}
-	if !strings.HasPrefix(text, "fault coverage on ") {
-		t.Fatalf("partial report lost the CLI header:\n%s", text)
+	for _, tc := range []struct {
+		shards int
+		tail   string
+	}{
+		{0, " algorithms\n"},
+		{4, "/4 shards; no merged matrix\n"},
+	} {
+		st := submit(t, ts, fmt.Sprintf(`{"kind":"grade","grade":{"size":2048,"width":8,"timeout":"20ms","shards":%d}}`, tc.shards))
+		final := waitDone(t, ts, st.ID)
+		if !final.DeadlineExceeded {
+			t.Fatalf("%d shards: status %+v: deadline_exceeded not set (did the full sweep finish inside 20ms?)", tc.shards, final)
+		}
+		text := report(t, ts, st.ID)
+		if !strings.Contains(text, "\npartial: deadline 20ms exceeded after ") || !strings.HasSuffix(text, tc.tail) {
+			t.Fatalf("%d shards: partial report missing deadline attribution:\n%s", tc.shards, text)
+		}
+		if !strings.HasPrefix(text, "fault coverage on reference (2048 x 8 bits, 1 ports):\n\n") {
+			t.Fatalf("%d shards: partial report lost the CLI header:\n%s", tc.shards, text)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 	"strings"
 	"syscall"
 
-	mbist "repro"
+	"repro/internal/coverage"
 	"repro/internal/resilience"
 )
 
@@ -71,11 +71,11 @@ type jobEntry struct {
 	// N is the job's cumulative checkpoint count; States carries the
 	// checkpointed coverage state(s), keyed by algorithm name (or
 	// "alg#shard/of" for sharded grades).
-	N       int                             `json:"n,omitempty"`
-	States  map[string]*mbist.CoverageState `json:"states,omitempty"`
-	Result  string                          `json:"result,omitempty"`  // done
-	Expired bool                            `json:"expired,omitempty"` // done: deadline Partial
-	Error   string                          `json:"error,omitempty"`   // failed/quarantined
+	N       int                        `json:"n,omitempty"`
+	States  map[string]*coverage.State `json:"states,omitempty"`
+	Result  string                     `json:"result,omitempty"`  // done
+	Expired bool                       `json:"expired,omitempty"` // done: deadline Partial
+	Error   string                     `json:"error,omitempty"`   // failed/quarantined
 }
 
 // journalAppend appends one transition (no-op without a journal) and
@@ -118,7 +118,7 @@ type recovered struct {
 	terminal    *jobEntry
 	attempts    int
 	checkpoints int
-	resume      map[string]*mbist.CoverageState
+	resume      map[string]*coverage.State
 }
 
 // openJournal opens and replays the job journal, rebuilding the job
@@ -162,7 +162,7 @@ func (s *Server) openJournal(dir string) ([]*Job, error) {
 			r.attempts = e.Attempt
 		case opCheckpointed:
 			if r.resume == nil {
-				r.resume = make(map[string]*mbist.CoverageState)
+				r.resume = make(map[string]*coverage.State)
 			}
 			for k, st := range e.States {
 				r.resume[k] = st
@@ -256,7 +256,7 @@ func (s *Server) compact() {
 			payloads = append(payloads, jobEntry{Op: opQuarantined, ID: id, Attempt: job.attempt, Error: job.errMsg})
 		default:
 			if len(job.resume) > 0 {
-				states := make(map[string]*mbist.CoverageState, len(job.resume))
+				states := make(map[string]*coverage.State, len(job.resume))
 				for k, st := range job.resume {
 					states[k] = st
 				}

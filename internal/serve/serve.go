@@ -22,9 +22,10 @@
 //
 // Submissions are validated synchronously — an unknown algorithm,
 // architecture or engine, or a grade whose fault universe exceeds
-// maxGradeFaults, is a 400 at POST time, not a failed job. A
-// body must hold exactly one JSON object (anything after it is a 400)
-// of at most 1 MiB (413 past that).
+// maxGradeFaults, whose shards exceed maxGradeShards or whose workers
+// exceed 256, is a 400 at POST time, not a failed job. A body must
+// hold exactly one JSON object (anything after it is a 400) of at most
+// 1 MiB (413 past that).
 // During drain (SIGTERM) or queue saturation submissions return 503
 // with a Retry-After header and a machine-readable JSON body while
 // queued and running jobs finish.
@@ -60,6 +61,7 @@ import (
 	"time"
 
 	mbist "repro"
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/fsmbist"
 	"repro/internal/march"
@@ -428,7 +430,7 @@ type Job struct {
 	expired      bool
 	wdKilled     bool
 	lastProgress time.Time
-	resume       map[string]*mbist.CoverageState
+	resume       map[string]*coverage.State
 
 	req     Request
 	timeout time.Duration
@@ -516,7 +518,7 @@ func (j *Job) progressTime() time.Time {
 // resumeState returns the job's last journaled checkpoint for key
 // (algorithm name, or "alg#shard/of" for sharded grades), nil when the
 // job starts fresh.
-func (j *Job) resumeState(key string) *mbist.CoverageState {
+func (j *Job) resumeState(key string) *coverage.State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.resume[key]
@@ -526,19 +528,19 @@ func (j *Job) resumeState(key string) *mbist.CoverageState {
 // it. The coverage engine calls the checkpoint hook with grading
 // paused, so the synchronous marshal inside Append sees a consistent
 // snapshot.
-func (s *Server) noteCheckpoint(job *Job, key string, st *mbist.CoverageState) {
+func (s *Server) noteCheckpoint(job *Job, key string, st *coverage.State) {
 	job.mu.Lock()
 	job.checkpoints++
 	n := job.checkpoints
 	job.lastProgress = time.Now()
 	if job.resume == nil {
-		job.resume = make(map[string]*mbist.CoverageState)
+		job.resume = make(map[string]*coverage.State)
 	}
 	job.resume[key] = st
 	job.mu.Unlock()
 	s.journalAppend(jobEntry{
 		Op: opCheckpointed, ID: job.ID, N: n,
-		States: map[string]*mbist.CoverageState{key: st},
+		States: map[string]*coverage.State{key: st},
 	})
 }
 
@@ -586,8 +588,9 @@ type Request struct {
 
 // GradeRequest grades a coverage workload; the embedded Spec is the
 // exact flag surface of mbistcov (same defaults, same names). Shards
-// splits the sweep into that many universe slices graded independently
-// and merged — the report is byte-identical at every shard count.
+// splits the sweep into that many universe slices (at most
+// maxGradeShards) graded independently and merged — the report is
+// byte-identical at every shard count.
 type GradeRequest struct {
 	sweep.Spec
 	Shards int `json:"shards,omitempty"`
@@ -718,6 +721,11 @@ func (s *Server) prepJob(req Request) (*Job, error) {
 // two ports (about 1.6 M faults) and refuses 16384×8 (6.2 M).
 const maxGradeFaults = 1 << 21
 
+// maxGradeShards bounds a grade job's shard count. A sharded job holds
+// one slice per shard and one progress unit each, so an unbounded count
+// would size both from the request alone.
+const maxGradeShards = 64
+
 func (s *Server) prepGrade(job *Job, req *GradeRequest) error {
 	if req == nil {
 		req = &GradeRequest{}
@@ -740,51 +748,55 @@ func (s *Server) prepGrade(job *Job, req *GradeRequest) error {
 	job.timeout = timeout
 	job.retries = req.Spec.RetryBudget(s.retryMax)
 	shards := req.Shards
-	if shards < 0 {
+	switch {
+	case shards < 0:
 		return fmt.Errorf("negative shard count %d", shards)
-	}
-	if shards <= 1 {
+	case shards > maxGradeShards:
+		return fmt.Errorf("%d shards over the %d-shard limit", shards, maxGradeShards)
+	case shards <= 1:
+		shards = 0
 		job.total = len(w.Algs)
-		job.run = func(ctx context.Context) (string, error) {
-			return s.runGrade(ctx, job, w)
-		}
-		return nil
+	default:
+		job.total = shards + 1 // one unit per shard plus the merge
 	}
-	job.total = shards + 1 // one unit per shard plus the merge
+	w.Opts.CheckpointEvery = s.checkpointEvery
 	job.run = func(ctx context.Context) (string, error) {
-		return s.runShardedGrade(ctx, job, w, shards)
+		return s.runGrade(ctx, job, w, shards)
 	}
 	return nil
 }
 
-// runGrade grades the workload algorithm by algorithm, journaling a
-// checkpoint every checkpointEvery faults and resuming any algorithm
-// with a recovered state (a complete recovered state re-grades
-// nothing). On its own deadline it returns the valid Partial report
-// graded so far instead of an error.
-func (s *Server) runGrade(ctx context.Context, job *Job, w *sweep.Workload) (string, error) {
-	reports := make([]*mbist.CoverageReport, 0, len(w.Algs))
-	for _, alg := range w.Algs {
-		algOpts := w.Opts
-		algOpts.CheckpointEvery = s.checkpointEvery
-		if st := job.resumeState(alg.Name); st != nil {
-			algOpts.Resume = st
-		}
-		name := alg.Name
-		algOpts.Checkpoint = func(st *mbist.CoverageState) { s.noteCheckpoint(job, name, st) }
-		rep, err := mbist.GradeCoverageContext(ctx, alg, w.Arch, algOpts)
-		if err != nil {
-			if job.timeout > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				if rep != nil {
-					reports = append(reports, rep)
-				}
-				job.markExpired()
-				return renderPartial(w, reports, job.timeout), nil
+// runGrade grades the workload through sweep.Workload.Run — unit by
+// unit, sharded when shards > 0 — journaling each unit's checkpoints
+// and resuming each unit from its recovered state (a complete one
+// re-grades nothing). On its own deadline it returns the valid Partial
+// report graded so far (sharded: an attribution line, as no merge is
+// possible) instead of an error.
+func (s *Server) runGrade(ctx context.Context, job *Job, w *sweep.Workload, shards int) (string, error) {
+	reports, pieces, err := w.Run(ctx, sweep.RunOptions{
+		Of:         shards,
+		Resume:     job.resumeState,
+		Checkpoint: func(key string, st *coverage.State) { s.noteCheckpoint(job, key, st) },
+		Done: func(u sweep.Unit) {
+			// Progress counts algorithms, or shards when sharded.
+			if shards == 0 || u.Alg == len(w.Algs)-1 {
+				job.step()
 			}
+		},
+	})
+	if err != nil {
+		if job.timeout == 0 || !errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return "", err
 		}
-		reports = append(reports, rep)
-		job.step()
+		job.markExpired()
+		if shards > 0 {
+			return fmt.Sprintf("fault coverage on %v (%d x %d bits, %d ports):\n\npartial: deadline %v exceeded after %d/%d shards; no merged matrix\n",
+				w.Arch, w.Opts.Size, w.Opts.Width, w.Opts.Ports, job.timeout, len(pieces), shards), nil
+		}
+		return renderPartial(w, reports, job.timeout), nil
+	}
+	if shards > 0 {
+		job.step() // the merge
 	}
 	return w.RenderText(reports), nil
 }
@@ -792,7 +804,7 @@ func (s *Server) runGrade(ctx context.Context, job *Job, w *sweep.Workload) (str
 // renderPartial renders a deadline-expired grade: the matrix over
 // every report produced (the last one Partial but internally
 // consistent — each graded verdict exact) plus an attribution line.
-func renderPartial(w *sweep.Workload, reports []*mbist.CoverageReport, timeout time.Duration) string {
+func renderPartial(w *sweep.Workload, reports []*coverage.Report, timeout time.Duration) string {
 	complete := 0
 	for _, r := range reports {
 		if !r.Partial {
@@ -801,49 +813,6 @@ func renderPartial(w *sweep.Workload, reports []*mbist.CoverageReport, timeout t
 	}
 	return fmt.Sprintf("%s\npartial: deadline %v exceeded after %d/%d algorithms\n",
 		strings.TrimRight(w.RenderText(reports), "\n"), timeout, complete, len(w.Algs))
-}
-
-// runShardedGrade grades shard by shard with per-(algorithm, shard)
-// checkpoint states keyed "alg#shard/of", merging into a report
-// byte-identical to the unsharded sweep.
-func (s *Server) runShardedGrade(ctx context.Context, job *Job, w *sweep.Workload, shards int) (string, error) {
-	pieces := make([]*sweep.Shard, shards)
-	for i := range pieces {
-		piece := &sweep.Shard{
-			Algs:   w.Names(),
-			Shard:  i,
-			Of:     shards,
-			States: make(map[string]*mbist.CoverageState, len(w.Algs)),
-		}
-		for _, alg := range w.Algs {
-			key := fmt.Sprintf("%s#%d/%d", alg.Name, i, shards)
-			algOpts := w.Opts
-			algOpts.CheckpointEvery = s.checkpointEvery
-			if st := job.resumeState(key); st != nil {
-				algOpts.Resume = st
-			}
-			ck := key
-			algOpts.Checkpoint = func(st *mbist.CoverageState) { s.noteCheckpoint(job, ck, st) }
-			st, err := mbist.GradeCoverageShardContext(ctx, alg, w.Arch, algOpts, i, shards)
-			if err != nil {
-				if job.timeout > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					job.markExpired()
-					return fmt.Sprintf("fault coverage on %v (%d x %d bits, %d ports):\n\npartial: deadline %v exceeded after %d/%d shards; no merged matrix\n",
-						w.Arch, w.Opts.Size, w.Opts.Width, w.Opts.Ports, job.timeout, i, shards), nil
-				}
-				return "", err
-			}
-			piece.States[alg.Name] = st
-		}
-		pieces[i] = piece
-		job.step()
-	}
-	reports, err := w.Merge(pieces...)
-	if err != nil {
-		return "", err
-	}
-	job.step()
-	return w.RenderText(reports), nil
 }
 
 func prepLint(job *Job, req *LintRequest) error {

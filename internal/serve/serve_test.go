@@ -194,6 +194,12 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 		{`{"kind":"grade","grade":{"algs":"nosuch"}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"engine":"warp"}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"shards":-1}}`, http.StatusBadRequest},
+		// Shard and worker counts are bounded before anything is
+		// allocated for them.
+		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"shards":65}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"shards":1099511627776}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"workers":257}}`, http.StatusBadRequest},
+		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"workers":1073741824}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"width":65}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":2,"ports":257}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"mats+","size":-5}}`, http.StatusBadRequest},
@@ -220,12 +226,17 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 			t.Errorf("submit %s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
-	// The budget admits 4096×8 on two ports. prepJob validates without
-	// grading, so the 1.6 M-fault job never runs here.
-	for _, g := range []sweep.Spec{{Size: 4096, Width: 8, Ports: 2}, {Size: 16384, Width: 8}} {
-		_, err := s.prepJob(Request{Kind: "grade", Grade: &GradeRequest{Spec: g}})
+	// The budget admits 4096×8 on two ports, and the bounds admit 64
+	// shards and 256 workers. prepJob validates without grading, so the
+	// 1.6 M-fault job never runs here.
+	for _, g := range []GradeRequest{
+		{Spec: sweep.Spec{Size: 4096, Width: 8, Ports: 2}},
+		{Spec: sweep.Spec{Size: 16384, Width: 8}},
+		{Spec: sweep.Spec{Size: 4096, Width: 8, Ports: 2, Workers: 256}, Shards: 64},
+	} {
+		_, err := s.prepJob(Request{Kind: "grade", Grade: &g})
 		if fits := g.Size == 4096; fits != (err == nil) {
-			t.Errorf("%d×%d×%d: prepJob error %v", g.Size, g.Width, g.Ports, err)
+			t.Errorf("%d×%d×%d, %d shards, %d workers: prepJob error %v", g.Size, g.Width, g.Ports, g.Shards, g.Workers, err)
 		}
 	}
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/report", "/v1/jobs/nope/watch"} {

@@ -5,11 +5,19 @@
 // service cannot drift, and a service-graded report diffs
 // byte-identical against the CLI's stdout.
 //
-// It also owns the shard file format: one workload slice graded into
-// per-algorithm coverage.States, persisted through the same
-// internal/resilience envelope (versioned, checksummed, bound to the
-// workload fingerprint) that mbistcov checkpoints use. Shards graded
-// anywhere merge into reports byte-identical to an unsharded sweep.
+// It also owns the one grading loop every driver runs. Workload.Run
+// grades a workload as a sequence of units — one per algorithm, or one
+// per (shard, algorithm) pair when sharded — resuming each unit from a
+// caller-supplied state and handing each checkpoint and each finished
+// unit to the caller, who persists them (mbistcov to its checkpoint
+// file, mbistd to its job journal). States are keyed by unit:
+// "<alg>" unsharded, "<alg>#<shard>/<of>" sharded.
+//
+// A sharded run's slices are coverage.States, one per algorithm; a
+// shard file persists one slice through the same internal/resilience
+// envelope (versioned, checksummed, bound to the workload fingerprint)
+// that mbistcov checkpoints use. Shards graded anywhere merge into
+// reports byte-identical to an unsharded sweep.
 package sweep
 
 import (
@@ -206,17 +214,108 @@ func (w *Workload) Fingerprint() string {
 
 // Grade grades every workload algorithm in order and returns the
 // reports. On error (including cancellation) the reports graded so far
-// are returned alongside it.
+// are returned alongside it, the interrupted one last.
 func (w *Workload) Grade(ctx context.Context) ([]*coverage.Report, error) {
-	reports := make([]*coverage.Report, 0, len(w.Algs))
-	for _, alg := range w.Algs {
-		rep, err := coverage.GradeContext(ctx, alg, w.Arch, w.Opts)
-		if err != nil {
-			return reports, err
+	reports, _, err := w.Run(ctx, RunOptions{})
+	return reports, err
+}
+
+// Unit is one grading step of Workload.Run.
+type Unit struct {
+	// Key names the unit's state in a checkpoint store: the algorithm
+	// name, or "<alg>#<shard>/<of>" for one slice of a sharded run.
+	Key string
+	// Alg indexes Workload.Algs. A sharded run grades a slice's
+	// algorithms in order, so the slice is finished with its last.
+	Alg int
+}
+
+// RunOptions configures Workload.Run. The zero value grades every
+// algorithm over its whole universe with nothing resumed or persisted.
+type RunOptions struct {
+	// Of, when positive, splits every universe into Of contiguous
+	// slices graded slice by slice and merged into the reports.
+	Of int
+	// Shards, when non-nil, grades only these slices of Of and skips
+	// the merge.
+	Shards []int
+	// Resume, when non-nil, returns the state a unit resumes from by
+	// its key (nil starts it fresh).
+	Resume func(key string) *coverage.State
+	// Checkpoint, when non-nil, receives each unit's state every
+	// Workload.Opts.CheckpointEvery graded faults and once when it ends.
+	Checkpoint func(key string, st *coverage.State)
+	// Done, when non-nil, is called after each unit finishes.
+	Done func(u Unit)
+}
+
+// Run grades the workload unit by unit: each algorithm in order, or
+// with o.Of > 0 each slice's algorithms, slice by slice. It returns the
+// reports (merged through Merge when sharded) and, when sharded, the
+// graded slices. On error, including cancellation, it returns what was
+// graded so far: the reports with the interrupted one last (Partial),
+// or the slices finished before the interrupted one.
+func (w *Workload) Run(ctx context.Context, o RunOptions) ([]*coverage.Report, []*Shard, error) {
+	if o.Of == 0 && o.Shards == nil {
+		reports := make([]*coverage.Report, 0, len(w.Algs))
+		for a, alg := range w.Algs {
+			u := Unit{Key: alg.Name, Alg: a}
+			rep, err := coverage.GradeContext(ctx, alg, w.Arch, w.unitOpts(u, o))
+			if rep != nil {
+				reports = append(reports, rep)
+			}
+			if err != nil {
+				return reports, nil, err
+			}
+			if o.Done != nil {
+				o.Done(u)
+			}
 		}
-		reports = append(reports, rep)
+		return reports, nil, nil
 	}
-	return reports, nil
+	shards := o.Shards
+	if shards == nil {
+		shards = make([]int, o.Of)
+		for i := range shards {
+			shards[i] = i
+		}
+	}
+	pieces := make([]*Shard, 0, len(shards))
+	for _, i := range shards {
+		piece := &Shard{Algs: w.Names(), Shard: i, Of: o.Of, States: make(map[string]*coverage.State, len(w.Algs))}
+		for a, alg := range w.Algs {
+			u := Unit{Key: fmt.Sprintf("%s#%d/%d", alg.Name, i, o.Of), Alg: a}
+			st, err := coverage.GradeShardContext(ctx, alg, w.Arch, w.unitOpts(u, o), i, o.Of)
+			if err != nil {
+				return nil, pieces, err
+			}
+			piece.States[alg.Name] = st
+			if o.Done != nil {
+				o.Done(u)
+			}
+		}
+		pieces = append(pieces, piece)
+	}
+	if o.Shards != nil {
+		return nil, pieces, nil
+	}
+	reports, err := w.Merge(pieces...)
+	return reports, pieces, err
+}
+
+// unitOpts binds the run's resume state and checkpoint hook to one
+// unit. Each stays nil unless the caller supplies it (Resume also when
+// the unit has no state): either one makes the engines keep per-fault
+// verdicts, which a plain grade does without.
+func (w *Workload) unitOpts(u Unit, o RunOptions) coverage.Options {
+	opts := w.Opts
+	if o.Resume != nil {
+		opts.Resume = o.Resume(u.Key)
+	}
+	if o.Checkpoint != nil {
+		opts.Checkpoint = func(st *coverage.State) { o.Checkpoint(u.Key, st) }
+	}
+	return opts
 }
 
 // RenderText renders reports exactly as mbistcov prints an unsharded
@@ -264,20 +363,11 @@ type Shard struct {
 
 // GradeShard grades slice shard of `of` for every workload algorithm.
 func (w *Workload) GradeShard(ctx context.Context, shard, of int) (*Shard, error) {
-	s := &Shard{
-		Algs:   w.Names(),
-		Shard:  shard,
-		Of:     of,
-		States: make(map[string]*coverage.State, len(w.Algs)),
+	_, pieces, err := w.Run(ctx, RunOptions{Of: of, Shards: []int{shard}})
+	if err != nil {
+		return nil, err
 	}
-	for _, alg := range w.Algs {
-		st, err := coverage.GradeShardContext(ctx, alg, w.Arch, w.Opts, shard, of)
-		if err != nil {
-			return nil, err
-		}
-		s.States[alg.Name] = st
-	}
-	return s, nil
+	return pieces[0], nil
 }
 
 // SaveShard persists a shard file: a resilience envelope bound to the

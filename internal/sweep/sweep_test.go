@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/resilience"
 )
 
@@ -52,6 +53,7 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 		{Ports: 257},
 		{Ports: -2},
 		{Size: -5},
+		{Workers: 257},
 	} {
 		if _, err := s.Workload(); err == nil {
 			t.Errorf("Spec %+v resolved, want error", s)
@@ -137,6 +139,72 @@ func TestShardFilesMergeByteIdentical(t *testing.T) {
 	}
 	if got := w.RenderText(merged); got != want {
 		t.Fatalf("merged shard sweep diverges from unsharded:\n--- merged\n%s\n--- unsharded\n%s", got, want)
+	}
+}
+
+// TestRunResumesUnitsByKey pins Workload.Run's unit loop, whole and
+// sharded: units finish in order under their "<alg>" and
+// "<alg>#<shard>/<of>" keys; a run cancelled after its first unit (or
+// first slice) returns what it graded, the interrupted report last and
+// Partial; and a second run resumed from the checkpoints the first one
+// handed out renders byte-identical to an uninterrupted grade.
+func TestRunResumesUnitsByKey(t *testing.T) {
+	w, err := Spec{Algs: "mats+,marchc", Size: 8}.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := w.Grade(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := w.RenderText(full)
+	for _, tc := range []struct {
+		of   int
+		keys []string
+	}{
+		{0, []string{"MATS+", "March C"}},
+		{2, []string{"MATS+#0/2", "March C#0/2", "MATS+#1/2", "March C#1/2"}},
+	} {
+		states := make(map[string]*coverage.State)
+		var done []string
+		ctx, cancel := context.WithCancel(context.Background())
+		o := RunOptions{
+			Of:         tc.of,
+			Resume:     func(key string) *coverage.State { return states[key] },
+			Checkpoint: func(key string, st *coverage.State) { states[key] = st },
+			Done: func(u Unit) {
+				done = append(done, u.Key)
+				if tc.of == 0 || u.Alg == len(w.Algs)-1 {
+					cancel()
+				}
+			},
+		}
+		reports, pieces, err := w.Run(ctx, o)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("of=%d: cancelled run returned %v", tc.of, err)
+		}
+		if tc.of == 0 && (len(reports) != 2 || reports[0].Partial || !reports[1].Partial) {
+			t.Fatalf("of=0: cancelled run returned %d reports, want the finished one and the Partial one", len(reports))
+		}
+		if tc.of > 0 && (len(pieces) != 1 || reports != nil) {
+			t.Fatalf("of=%d: cancelled run returned %d slices and %d reports, want the first slice alone", tc.of, len(pieces), len(reports))
+		}
+
+		o.Done = func(u Unit) { done = append(done, u.Key) }
+		reports, _, err = w.Run(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.RenderText(reports); got != want {
+			t.Fatalf("of=%d: resumed run diverges:\n%s\nwant\n%s", tc.of, got, want)
+		}
+		// The first run finished its first half of the units; the
+		// resumed run finishes every unit again, in order.
+		wantDone := append(append([]string{}, tc.keys[:len(tc.keys)/2]...), tc.keys...)
+		if got, want := strings.Join(done, ","), strings.Join(wantDone, ","); got != want {
+			t.Errorf("of=%d: units finished as %s, want %s", tc.of, got, want)
+		}
 	}
 }
 

@@ -62,32 +62,10 @@ type CoverageOptions = coverage.Options
 // by CoverageOptions.Checkpoint and consumed by CoverageOptions.Resume.
 type CoverageState = coverage.State
 
-// CoverageFaultVerdict records one quarantined fault in a report.
-type CoverageFaultVerdict = coverage.FaultVerdict
-
-// CoverageEngine selects the fault-simulation engine.
-type CoverageEngine = coverage.Engine
-
-// Coverage engines.
-const (
-	// CoverageEngineAuto uses lane-parallel stream replay when the
-	// architecture's operation stream matches the reference stream,
-	// falling back to the scalar oracle otherwise.
-	CoverageEngineAuto = coverage.EngineAuto
-	// CoverageEngineScalar simulates one fault at a time.
-	CoverageEngineScalar = coverage.EngineScalar
-)
-
 // GradeCoverage runs the algorithm against the functional fault
 // universe on the selected architecture.
 func GradeCoverage(alg Algorithm, arch Architecture, opts CoverageOptions) (*CoverageReport, error) {
 	return coverage.Grade(alg, arch, opts)
-}
-
-// GradeCoverageSerial grades with the scalar one-fault-at-a-time
-// oracle the lane-parallel engine is validated against.
-func GradeCoverageSerial(alg Algorithm, arch Architecture, opts CoverageOptions) (*CoverageReport, error) {
-	return coverage.GradeSerial(alg, arch, opts)
 }
 
 // GradeCoverageContext is GradeCoverage with cancellation: workers
@@ -97,47 +75,7 @@ func GradeCoverageContext(ctx context.Context, alg Algorithm, arch Architecture,
 	return coverage.GradeContext(ctx, alg, arch, opts)
 }
 
-// CoverageFingerprint identifies a grading workload for
-// checkpoint/resume validation (worker count and engine excluded —
-// reports are byte-identical across both).
-func CoverageFingerprint(alg Algorithm, arch Architecture, opts CoverageOptions) string {
-	return coverage.Fingerprint(alg, arch, opts)
-}
-
 // CoverageMatrix renders a fault-kind × algorithm coverage table.
 func CoverageMatrix(algs []Algorithm, arch Architecture, opts CoverageOptions) (string, error) {
 	return coverage.Matrix(algs, arch, opts)
-}
-
-// RenderCoverageMatrix renders already-graded reports as the
-// CoverageMatrix table, for drivers that grade per algorithm (e.g. to
-// checkpoint between algorithms) and render at the end.
-func RenderCoverageMatrix(reports []*CoverageReport) string {
-	return coverage.RenderMatrix(reports)
-}
-
-// GradeCoverageShard grades shard `shard` of `of` — a contiguous slice
-// of the fault universe — returning its resumable State. Grade every
-// shard (anywhere: goroutine, process, machine), merge with
-// MergeCoverageStates and render with CoverageReportFromState; the
-// result is byte-identical to an unsharded GradeCoverage.
-func GradeCoverageShard(alg Algorithm, arch Architecture, opts CoverageOptions, shard, of int) (*CoverageState, error) {
-	return coverage.GradeShard(alg, arch, opts, shard, of)
-}
-
-// GradeCoverageShardContext is GradeCoverageShard with cancellation.
-func GradeCoverageShardContext(ctx context.Context, alg Algorithm, arch Architecture, opts CoverageOptions, shard, of int) (*CoverageState, error) {
-	return coverage.GradeShardContext(ctx, alg, arch, opts, shard, of)
-}
-
-// MergeCoverageStates combines disjoint shard states into one State,
-// rejecting overlapping or mismatched shards.
-func MergeCoverageStates(states ...*CoverageState) (*CoverageState, error) {
-	return coverage.MergeStates(states...)
-}
-
-// CoverageReportFromState renders the final report of a completed
-// sweep from its (merged) State without re-grading anything.
-func CoverageReportFromState(alg Algorithm, arch Architecture, opts CoverageOptions, s *CoverageState) (*CoverageReport, error) {
-	return coverage.ReportFromState(alg, arch, opts, s)
 }
