@@ -8,7 +8,6 @@
 //	mbistcov -algs marchc,marchc+,marchc++ -arch microcode -size 16
 //	mbistcov -detail marchc
 //	mbistcov -arch microcode -workers 4 -cpuprofile grade.pprof -metrics
-//	mbistcov -engine scalar -detail marchc
 //	mbistcov -size 1024 -width 8 -checkpoint state.json
 //	mbistcov -size 1024 -width 8 -checkpoint state.json -resume
 //	mbistcov -size 1024 -timeout 5m -checkpoint state.json
@@ -172,8 +171,8 @@ func run(stdout io.Writer, spec sweep.Spec, detail, ckptPath string, ckptEvery i
 	}
 	w.Opts.CheckpointEvery = ckptEvery
 
-	// Stop at the next fault boundary on SIGINT/SIGTERM; the grading
-	// engines flush a final checkpoint before returning. A -timeout
+	// Stop at the next batch boundary on SIGINT/SIGTERM; the grade
+	// flushes a final checkpoint before returning. A -timeout
 	// deadline takes the same path: final checkpoint, exit 3.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -226,8 +225,8 @@ func run(stdout io.Writer, spec sweep.Spec, detail, ckptPath string, ckptEvery i
 // checkpoints to ckptPath (when set) and resuming from it.
 func gradeAll(ctx context.Context, w *sweep.Workload, ckptPath string, resume bool) ([]*coverage.Report, error) {
 	// The workload fingerprint binds a checkpoint to this exact run;
-	// worker count and engine are excluded — verdicts are
-	// byte-identical across both, so a checkpoint resumes under either.
+	// the worker count is excluded — verdicts are byte-identical at
+	// any count, so a checkpoint resumes under another.
 	payload := checkpointPayload{Algs: w.Names(), States: make(map[string]*coverage.State)}
 	fingerprint := w.Fingerprint()
 

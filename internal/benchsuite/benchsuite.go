@@ -119,8 +119,8 @@ func GradeParallel(b *testing.B) {
 	grade(b, runtime.GOMAXPROCS(0), coverage.EngineScalar)
 }
 
-// GradeLane measures the lane engine (one lane per projection class,
-// up to 255 classes per batch replay) on one worker; its speedup is
+// GradeLane measures the lane engine (one lane per cell of faults,
+// up to 255 cells per batch replay) on one worker; its speedup is
 // tracked against GradeSerial.
 func GradeLane(b *testing.B) { grade(b, 1, coverage.EngineAuto) }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/faults"
+	"repro/internal/fsmbist"
 	"repro/internal/march"
 	"repro/internal/memory"
 	"repro/internal/obs"
@@ -13,20 +14,22 @@ import (
 )
 
 // The lane-parallel grading engine (PPSFP applied to the behavioural
-// memory model). All four architectures emit the same canonical
-// operation stream on a fault-free memory, and with MaxFails:1 their
+// memory model). Every architecture's controller executes a march, the
+// source algorithm or, on prog-FSM, the Realized march its SM
+// components split some elements into, and on a fault-free memory it
+// emits that march's canonical operation stream. With MaxFails:1 its
 // control flow is data-independent up to the first failing read — a
 // faulty run is a prefix of the clean run's stream ending at that read.
 // Detection is therefore equivalent to "any read mismatches its
 // expected value when the full clean stream is replayed". That lets
 // one replay grade a whole batch at once: lane 0 of a
 // faults.LaneInjected is the good machine and logical lanes
-// 1..DefaultLanes-1 each carry one projection class, a fault that
-// stands for every universe fault that would replay identically
-// (compile.go); every read compares all lanes against the expected
-// value in parallel and accumulates a per-plane fail mask. Each batch
-// replays not the whole stream but its classes' projection onto the
-// one or two words their faults can touch.
+// 1..DefaultLanes-1 each carry one cell of the universe's partition, a
+// fault that stands for every universe fault that would replay
+// identically (compile.go); every read compares all lanes against the
+// expected value in parallel and accumulates a per-plane fail mask.
+// Each batch replays not the whole stream but its cells' projection
+// onto the one or two words their faults can touch.
 
 // referenceStream expands the canonical reference stream of the
 // workload: the stream march.Run issues on its geometry.
@@ -34,75 +37,123 @@ func referenceStream(alg march.Algorithm, opts Options) []march.StreamOp {
 	return march.FullStream(alg, opts.Size, opts.Width, opts.Ports, opts.Width == 1)
 }
 
-// verifyStream runs the architecture's runner once over a
-// Recorder-wrapped fault-free memory and compares the captured
-// operation stream with the reference stream. ok reports a match, the
-// guard the batched engine requires; a divergent capture (e.g. a
-// decomposed prog-FSM program) returns ok=false so the caller falls
-// back to the scalar oracle.
-func verifyStream(alg march.Algorithm, arch Architecture, opts Options) (ok bool, err error) {
-	run, err := buildRunner(alg, arch, opts)
+// realisedMarch returns the march the architecture's controller
+// executes for alg: a prog-FSM program's Realized march, which splits
+// the elements its SM components cannot run whole, and alg itself on
+// every other architecture.
+func realisedMarch(alg march.Algorithm, arch Architecture, opts Options) (march.Algorithm, error) {
+	if arch != ProgFSM {
+		return alg, nil
+	}
+	ctrl, err := cachedController(alg, arch, opts)
 	if err != nil {
-		return false, err
+		return march.Algorithm{}, err
 	}
-	ref := referenceStream(alg, opts)
-	rec := &march.Recorder{
-		Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports),
-		Ops: make([]march.StreamOp, 0, len(ref)),
-	}
-	detected, err := run(rec)
-	if err != nil {
-		return false, fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
-	}
-	if detected {
-		return false, fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
-	}
-	return streamsEqual(rec.Ops, ref), nil
+	return ctrl.(*fsmbist.Program).Realized, nil
 }
 
-// Verification verdicts (including negative ones) are deterministic
-// per (algorithm, architecture, geometry), so they are cached and
-// shared across Grade calls and service requests; the streams
-// themselves are dropped once compared. Only the verdict is
-// per-architecture: a verified stream equals the reference stream, so
-// every verified architecture shares one class plan (compile.go).
+// streamCheck is a fault-free memory that checks every operation a
+// controller issues, as it issues it, against the next op of a
+// reference stream. n counts the ops issued; err describes the first
+// that differs.
+type streamCheck struct {
+	*memory.SRAM
+	ref *march.StreamCursor
+	n   int
+	err error
+}
+
+func (c *streamCheck) issue(op march.StreamOp) {
+	if want, ok := c.ref.Next(); c.err == nil && (!ok || want != op) {
+		c.err = fmt.Errorf("captured op %d is %+v, the realised march's stream has %s", c.n, op, opOrEnd(want, ok))
+	}
+	c.n++
+}
+
+func opOrEnd(op march.StreamOp, ok bool) string {
+	if !ok {
+		return "the end of the stream"
+	}
+	return fmt.Sprintf("%+v", op)
+}
+
+func (c *streamCheck) Read(port, addr int) uint64 {
+	v := c.SRAM.Read(port, addr)
+	c.issue(march.StreamOp{Port: port, Addr: addr, Data: v})
+	return v
+}
+
+func (c *streamCheck) Write(port, addr int, data uint64) {
+	c.SRAM.Write(port, addr, data)
+	c.issue(march.StreamOp{Write: true, Port: port, Addr: addr, Data: data})
+}
+
+func (c *streamCheck) Pause() { c.issue(march.StreamOp{Pause: true}) }
+
+// verifyStream runs the architecture's controller for alg once over a
+// fault-free memory and checks each operation it issues against the
+// reference stream of realised, the march the controller executes. A
+// controller that issues another stream, or detects a fail on the
+// fault-free memory, is an error.
+func verifyStream(alg, realised march.Algorithm, arch Architecture, opts Options) error {
+	run, err := buildRunner(alg, arch, opts)
+	if err != nil {
+		return err
+	}
+	chk := &streamCheck{
+		SRAM: memory.NewSRAM(opts.Size, opts.Width, opts.Ports),
+		ref:  march.NewStreamCursor(realised, opts.Size, opts.Width, opts.Ports, opts.Width == 1),
+	}
+	detected, err := run(chk)
+	if err != nil {
+		return fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
+	}
+	if want, ok := chk.ref.Next(); chk.err == nil && ok {
+		chk.err = fmt.Errorf("captured op %d is the end of the stream, the realised march's stream has %+v", chk.n, want)
+	}
+	if chk.err != nil {
+		return fmt.Errorf("coverage: %s on %s: %w", alg.Name, arch, chk.err)
+	}
+	if detected {
+		return fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
+	}
+	return nil
+}
+
+// A verified stream is deterministic per (algorithm, architecture,
+// geometry), so the verification is cached and shared across Grade
+// calls and service requests, keeping the realised march it verified
+// against; no stream is ever kept.
 type streamKey struct {
 	algFP              uint64
 	arch               Architecture
 	size, width, ports int
 }
 
-// streamVerdictLimit bounds the verdict cache. An entry is one bool, so
-// the bound is set to cover the key space of a whole-library sweep over
-// every architecture and many geometries, not to save memory.
+// streamVerdictLimit bounds the verdict cache. An entry is one march,
+// so the bound is set to cover the key space of a whole-library sweep
+// over every architecture and many geometries, not to save memory.
 const streamVerdictLimit = 1024
 
-var streamCache = artifact.New[streamKey, bool]("stream", streamVerdictLimit)
+var streamCache = artifact.New[streamKey, march.Algorithm]("stream", streamVerdictLimit)
 
-// streamVerified is verifyStream's verdict, memoised on the workload
-// key. Errors are never cached (they may be transient panics of a
-// chaos hook's making — the artifact cache drops failed builds);
-// verdicts are, so a decomposed program pays its capture exactly once.
-func streamVerified(alg march.Algorithm, arch Architecture, opts Options) (bool, error) {
+// verifiedMarch returns the march the architecture's controller
+// realises for alg, once verifyStream has checked the controller's
+// stream against it, memoised on the workload key. Errors are never
+// cached (they may be transient panics of a chaos hook's making — the
+// artifact cache drops failed builds).
+func verifiedMarch(alg march.Algorithm, arch Architecture, opts Options) (march.Algorithm, error) {
 	key := streamKey{
 		algFP: march.Fingerprint(alg), arch: arch,
 		size: opts.Size, width: opts.Width, ports: opts.Ports,
 	}
-	return streamCache.Get(key, func() (bool, error) {
-		return verifyStream(alg, arch, opts)
-	})
-}
-
-func streamsEqual(a, b []march.StreamOp) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return streamCache.Get(key, func() (march.Algorithm, error) {
+		realised, err := realisedMarch(alg, arch, opts)
+		if err != nil {
+			return march.Algorithm{}, err
 		}
-	}
-	return true
+		return realised, verifyStream(alg, realised, arch, opts)
+	})
 }
 
 // Lane arenas outlive the grade in a small pool keyed by geometry
@@ -160,24 +211,26 @@ func putScratch(k scratchKey, m *faults.LaneInjected) {
 	scratchN++
 }
 
-// gradeBatched grades the universe one lane per projection class (see
-// compile.go): each batch replays one projection on a 2-word arena,
-// and each lane's verdict is its class's (commitClasses). Reports —
+// gradeBatched grades the universe one lane per cell (see
+// compile.go) under realised, the march the architecture's controller
+// executes: each batch replays its shape's projection on a 2-word
+// arena, and each lane's verdict is its cell's (commitCells). Reports —
 // including the Missed ordering — are byte-identical to the scalar
 // oracle at any worker count: the report is assembled in universe
 // order. A panic anywhere in a batch (hook, injector or replay) fails
 // only that batch: each of its pending members is retried
 // individually on the scalar oracle and quarantined if it panics
 // again. Cancellation stops the claim loop at the next batch boundary.
-func (r *gradeRun) gradeBatched() error {
+func (r *gradeRun) gradeBatched(realised march.Algorithm) error {
 	reg := obs.Active()
-	plan, err := cachedClassPlan(r.alg, r.opts, r.u)
+	plan, err := cachedPlan(realised, r.opts)
 	if err != nil {
 		return fmt.Errorf("coverage: %s on %s: %w", r.alg.Name, r.arch, err)
 	}
-	r.usePlan(plan)
+	part := r.u.partition()
+	r.useCells(part)
 	reg.Counter("coverage.compiled_streams").Add(1)
-	batches := len(plan.batches)
+	batches := len(part.batches)
 	workers := min(r.opts.Workers, batches)
 	reg.Gauge("coverage.workers").Set(int64(workers))
 	skey := scratchKey{width: r.opts.Width, ports: r.opts.Ports}
@@ -197,7 +250,7 @@ func (r *gradeRun) gradeBatched() error {
 	// hook blew up first), so the scalar attempt may be the member's
 	// first.
 	return r.claimLoop(batches, workers, func(w, b int) error {
-		err := r.replayBatch(plan, b, &arenas[w])
+		err := r.replayBatch(plan, part, b, &arenas[w])
 		if _, ok := resilience.AsPanic(err); !ok {
 			return err
 		}
@@ -206,7 +259,7 @@ func (r *gradeRun) gradeBatched() error {
 		if err != nil {
 			return err
 		}
-		for _, ui := range plan.membersOf(&plan.batches[b]) {
+		for _, ui := range part.membersOf(&part.batches[b]) {
 			i := int(ui)
 			if r.settled(i) {
 				continue
@@ -222,13 +275,13 @@ func (r *gradeRun) gradeBatched() error {
 	})
 }
 
-// replayBatch replays batch b of the plan on a worker's arena and
+// replayBatch replays batch b of the partition on a worker's arena and
 // commits its verdicts. A panic escapes as a *PanicError for the
 // caller's scalar retry, and drops the arena, which may be
 // mid-mutation.
-func (r *gradeRun) replayBatch(plan *classPlan, b int, arena **faults.LaneInjected) error {
-	bt := &plan.batches[b]
-	pending := r.pending(plan.membersOf(bt))
+func (r *gradeRun) replayBatch(plan *shapePlan, part *partition, b int, arena **faults.LaneInjected) error {
+	bt := &part.batches[b]
+	pending := r.pending(part.membersOf(bt))
 	if pending == 0 {
 		// Fully settled by the resumed checkpoint: nothing to replay.
 		return nil
@@ -238,7 +291,7 @@ func (r *gradeRun) replayBatch(plan *classPlan, b int, arena **faults.LaneInject
 	var rerr error
 	perr := resilience.Capture(func() {
 		if r.opts.FaultHook != nil {
-			for _, i := range plan.membersOf(bt) {
+			for _, i := range part.membersOf(bt) {
 				if !r.settled(int(i)) {
 					r.opts.FaultHook(int(i))
 				}
@@ -247,17 +300,17 @@ func (r *gradeRun) replayBatch(plan *classPlan, b int, arena **faults.LaneInject
 		if *arena == nil {
 			*arena = faults.NewLaneInjectedPlanes(2, r.opts.Width, r.opts.Ports, batchPlanes, nil)
 		}
-		(*arena).ResetPlanes(plan.faults[bt.lo:bt.hi], int(bt.planes))
-		_, rerr = (*arena).Replay(plan.projs[bt.proj], &fail)
+		(*arena).ResetPlanes(part.faults[bt.lo:bt.hi], int(bt.planes))
+		_, rerr = (*arena).Replay(plan[bt.shape], &fail)
 	})
 	if perr != nil {
 		*arena = nil
 		return perr
 	}
 	if rerr != nil {
-		return fmt.Errorf("coverage: batch %d (%d classes): %w", b, bt.hi-bt.lo, rerr)
+		return fmt.Errorf("coverage: batch %d (%d cells): %w", b, bt.hi-bt.lo, rerr)
 	}
-	r.commitClasses(plan, bt, &fail)
+	r.commitCells(part, bt, &fail)
 	r.mBatch.ObserveSince(t0)
 	r.mBatches.Add(1)
 	r.mLanes.Observe(int64(bt.hi - bt.lo))

@@ -1,20 +1,23 @@
 package coverage
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/fsmbist"
 	"repro/internal/march"
 	"repro/internal/obs"
+	"repro/internal/raceflag"
 )
 
 // TestBatchedEngineMatchesScalarOracle is the acceptance gate for the
 // lane-parallel engine: for every architecture and every algorithm in
 // the march library, Grade (EngineAuto) must produce a byte-identical
-// Report — including the Missed ordering — to the scalar GradeSerial
-// oracle, at worker counts 1, 2 and GOMAXPROCS (Workers: 0).
+// Report — including the Missed ordering — to the scalar oracle, at
+// worker counts 1, 2 and GOMAXPROCS (Workers: 0).
 func TestBatchedEngineMatchesScalarOracle(t *testing.T) {
 	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
@@ -24,7 +27,7 @@ func TestBatchedEngineMatchesScalarOracle(t *testing.T) {
 	for _, arch := range []Architecture{Reference, Microcode, ProgFSM, Hardwired} {
 		for _, name := range names {
 			alg, _ := march.ByName(name)
-			want, err := GradeSerial(alg, arch, Options{Size: 8})
+			want, err := scalarGrade(alg, arch, Options{Size: 8})
 			if err != nil {
 				t.Fatalf("%s on %s: oracle: %v", name, arch, err)
 			}
@@ -53,7 +56,7 @@ func TestBatchedEngineMatchesScalarOracleWordMultiport(t *testing.T) {
 	for _, arch := range []Architecture{Reference, Microcode, ProgFSM, Hardwired} {
 		for _, name := range []string{"marchc+", "marchss", "marchlr"} {
 			alg, _ := march.ByName(name)
-			want, err := GradeSerial(alg, arch, opts)
+			want, err := scalarGrade(alg, arch, opts)
 			if err != nil {
 				t.Fatalf("%s on %s: oracle: %v", name, arch, err)
 			}
@@ -73,8 +76,7 @@ func TestBatchedEngineMatchesScalarOracleWordMultiport(t *testing.T) {
 }
 
 // TestBatchedEngineEngaged pins that the default Grade path actually
-// replays lane batches (rather than silently falling back) for the
-// canonical microcode configuration, that batch occupancy respects the
+// replays lane batches for the canonical microcode configuration, that batch occupancy respects the
 // lane width, and that every fault's verdict comes from one of the
 // replayed class lanes.
 func TestBatchedEngineEngaged(t *testing.T) {
@@ -88,9 +90,6 @@ func TestBatchedEngineEngaged(t *testing.T) {
 	batches := reg.Counter("coverage.batches_replayed").Value()
 	if batches == 0 {
 		t.Fatal("batched engine not engaged for marchc on microcode")
-	}
-	if fb := reg.Counter("coverage.stream_fallbacks").Value(); fb != 0 {
-		t.Errorf("unexpected stream fallbacks: %d", fb)
 	}
 	count, sum, _, max := reg.Span("coverage.batch_lanes").Stats()
 	if count != batches {
@@ -142,75 +141,145 @@ func TestGradeRejectsBadGeometry(t *testing.T) {
 	gradeMatchesScalar(t, "mats+ 2x64", alg, Microcode, Options{Size: 2, Width: 64})
 }
 
-// TestStreamFallbackOnDecomposedProgram pins the automatic fallback:
-// a prog-FSM program whose realised algorithm was decomposed emits an
-// operation stream that diverges from the reference stream, so Grade
-// must take the scalar path — and still match the oracle (already
-// guaranteed by sharing the scalar engine, checked again here on one
-// instance for the fallback specifically).
-func TestStreamFallbackOnDecomposedProgram(t *testing.T) {
-	var decomposed march.Algorithm
-	found := false
+// TestDecomposedProgramsGradeOnRealisedMarch pins the prog-FSM half of
+// the one-path contract: every library algorithm whose program splits
+// an element into SM components grades on the lane engine, against the
+// march the program realises. Its report equals the scalar oracle's on
+// the program and the reference runner's on the Realized march. Under
+// the race detector, which slows the scalar oracle tenfold, only the
+// 16×1 geometry runs: the larger ones add no concurrency.
+func TestDecomposedProgramsGradeOnRealisedMarch(t *testing.T) {
+	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
-		alg, _ := march.ByName(name)
-		p, err := fsmbist.Compile(alg, fsmbist.CompileOpts{})
-		if err == nil && p.Decomposed {
-			decomposed, found = alg, true
-			break
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	geometries := []struct{ size, width, ports int }{{16, 1, 1}, {16, 4, 1}, {32, 4, 2}}
+	if raceflag.Enabled {
+		geometries = geometries[:1]
+	}
+	decomposed := 0
+	for _, g := range geometries {
+		opts := Options{Size: g.size, Width: g.width, Ports: g.ports}
+		for _, name := range names {
+			alg, _ := march.ByName(name)
+			p, err := fsmbist.Compile(alg, fsmbist.CompileOpts{WordOriented: g.width > 1, Multiport: g.ports > 1})
+			if err != nil || !p.Decomposed {
+				continue
+			}
+			decomposed++
+			what := fmt.Sprintf("%s on prog-fsm %dx%dx%d", name, g.size, g.width, g.ports)
+			reg := obs.Enable()
+			got, err := Grade(alg, ProgFSM, opts)
+			batches := reg.Counter("coverage.batches_replayed").Value()
+			obs.Disable()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if batches == 0 {
+				t.Errorf("%s: no lane batches replayed", what)
+			}
+			want, err := scalarGrade(alg, ProgFSM, opts)
+			if err != nil {
+				t.Fatalf("%s: scalar: %v", what, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: report differs from the scalar oracle:\ngot  %v\nwant %v", what, got, want)
+			}
+			ref, err := scalarGrade(p.Realized, Reference, opts)
+			if err != nil {
+				t.Fatalf("%s: realised march: %v", what, err)
+			}
+			ref.Architecture = ProgFSM
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: report differs from the Realized march's on the reference runner:\ngot  %v\nwant %v", what, got, ref)
+			}
 		}
 	}
-	if !found {
-		t.Skip("no library algorithm decomposes under the prog-FSM compiler")
-	}
-	reg := obs.Enable()
-	defer obs.Disable()
-	got, err := Grade(decomposed, ProgFSM, Options{Size: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb := reg.Counter("coverage.stream_fallbacks").Value(); fb == 0 {
-		t.Fatalf("%s on prog-fsm: expected a stream-capture fallback", decomposed.Name)
-	}
-	if reg.Counter("coverage.batches_replayed").Value() != 0 {
-		t.Errorf("%s on prog-fsm: batches replayed despite fallback", decomposed.Name)
-	}
-	want, err := GradeSerial(decomposed, ProgFSM, Options{Size: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s on prog-fsm: fallback report differs from oracle", decomposed.Name)
+	if decomposed == 0 {
+		t.Fatal("no library algorithm decomposes under the prog-FSM compiler")
 	}
 }
 
-// TestStreamsEqual pins the guard helper.
-func TestStreamsEqual(t *testing.T) {
-	a := []march.StreamOp{{Write: true, Addr: 1, Data: 1}, {Addr: 1, Data: 1}}
-	if !streamsEqual(a, a) {
-		t.Error("identical streams compared unequal")
+// TestStreamCheckNamesFirstDifference pins the stream check: a
+// controller whose stream differs from the realised march's, differs
+// in an op, stops early or runs on, is an error naming the first
+// differing op index and both ops.
+func TestStreamCheckNamesFirstDifference(t *testing.T) {
+	opts := Options{Size: 8}
+	opts.normalise()
+	marchc, _ := march.ByName("marchc")
+	longer := marchc
+	longer.Elements = append(append([]march.Element(nil), marchc.Elements...), march.Element{Order: march.Up, Ops: []march.Op{march.R(false)}})
+	full := func(a march.Algorithm) []march.StreamOp {
+		return march.FullStream(a, opts.Size, opts.Width, opts.Ports, true)
 	}
-	if streamsEqual(a, a[:1]) {
-		t.Error("length mismatch compared equal")
+	firstDiff := func(a, b []march.StreamOp) int {
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		return i
 	}
-	b := []march.StreamOp{{Write: true, Addr: 1, Data: 1}, {Addr: 2, Data: 1}}
-	if streamsEqual(a, b) {
-		t.Error("differing streams compared equal")
+	for _, c := range []struct {
+		what          string
+		alg, realised march.Algorithm
+		got, want     string
+	}{
+		{"another march", marchc, march.MATSPlus(), "", ""},
+		{"a stream that stops early", marchc, longer, "the end of the stream", ""},
+		{"a stream that runs on", longer, marchc, "", "the end of the stream"},
+	} {
+		err := verifyStream(c.alg, c.realised, Reference, opts)
+		if err == nil {
+			t.Fatalf("%s: no error", c.what)
+		}
+		i := firstDiff(full(c.alg), full(c.realised))
+		got, want := c.got, c.want
+		if got == "" {
+			got = fmt.Sprintf("%+v", full(c.alg)[i])
+		}
+		if want == "" {
+			want = fmt.Sprintf("%+v", full(c.realised)[i])
+		}
+		if msg := fmt.Sprintf("captured op %d is %s, the realised march's stream has %s", i, got, want); !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s: error %q does not name %q", c.what, err, msg)
+		}
+	}
+	// A decomposed program checked against its source algorithm, as the
+	// stream check once did, differs too.
+	alg, _ := march.ByName("marchc++")
+	if err := verifyStream(alg, alg, ProgFSM, opts); err == nil {
+		t.Error("marchc++ on prog-fsm matched its source algorithm's stream")
+	}
+	realised, err := realisedMarch(alg, ProgFSM, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyStream(alg, realised, ProgFSM, opts); err != nil {
+		t.Errorf("marchc++ on prog-fsm against its Realized march: %v", err)
 	}
 }
 
-// TestGradeSerialForcesScalarEngine pins that the oracle entry point
-// never touches the lane engine.
+// TestGradeSerialForcesScalarEngine pins that the scalar oracle
+// (Options.Engine = EngineScalar) never touches the lane engine.
 func TestGradeSerialForcesScalarEngine(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
 	alg, _ := march.ByName("marchc")
-	if _, err := GradeSerial(alg, Reference, Options{Size: 8}); err != nil {
+	if _, err := scalarGrade(alg, Reference, Options{Size: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.Counter("coverage.batches_replayed").Value(); n != 0 {
-		t.Errorf("GradeSerial replayed %d batches, want 0", n)
+		t.Errorf("scalar grade replayed %d batches, want 0", n)
 	}
 	if n := reg.Counter("coverage.faults_graded").Value(); n == 0 {
-		t.Error("GradeSerial graded no faults")
+		t.Error("scalar grade graded no faults")
 	}
+}
+
+// scalarGrade grades on the scalar oracle.
+func scalarGrade(alg march.Algorithm, arch Architecture, opts Options) (*Report, error) {
+	opts.Engine = EngineScalar
+	return Grade(alg, arch, opts)
 }

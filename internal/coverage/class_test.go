@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/faults"
+	"repro/internal/fsmbist"
 	"repro/internal/march"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/raceflag"
 )
@@ -46,15 +48,15 @@ func gradeMatches(t *testing.T, what string, alg march.Algorithm, arch Architect
 }
 
 // TestSlicedMatchesWholeAndScalar is the differential property of
-// projection-class grading over the march library: every algorithm on
-// every architecture, on a word-oriented 2-port and a bit-oriented
-// 1-port geometry, grades byte-identically to the scalar oracle over a
+// cell grading over the march library: every algorithm on every
+// architecture, on a word-oriented 2-port and a bit-oriented 1-port
+// geometry, grades byte-identically to the scalar oracle over a
 // sampled universe and over the exhaustive one. On the exhaustive
-// universes the oracle runs on the reference architecture only, and
-// architectures whose stream fails verification (they grade on the
-// scalar oracle anyway) are skipped there: every other architecture
-// replays the very stream the reference runner emits, and the oracle
-// on every controller would take most of a minute. Under the race
+// universes the oracle runs on the reference architecture only, on the
+// march each controller realises (prog-FSM's Realized march, the
+// algorithm itself elsewhere): every architecture replays the very
+// stream the reference runner emits for that march, and the oracle on
+// every controller would take most of a minute. Under the race
 // detector, which slows it tenfold, only the microcode column runs, on
 // the sampled universes: the exhaustive ones add no concurrency.
 func TestSlicedMatchesWholeAndScalar(t *testing.T) {
@@ -68,26 +70,27 @@ func TestSlicedMatchesWholeAndScalar(t *testing.T) {
 		archs = []Architecture{Microcode}
 	}
 	for _, g := range []struct{ size, width, ports int }{{32, 4, 2}, {64, 2, 1}} {
-		exhaustive := map[string]*Report{}
+		exhaustive := map[uint64]*Report{}
 		for _, arch := range archs {
 			t.Run(fmt.Sprintf("%s/%dx%dx%d", arch, g.size, g.width, g.ports), func(t *testing.T) {
 				for _, name := range names {
 					alg, _ := march.ByName(name)
 					what := fmt.Sprintf("%s on %s %dx%dx%d", name, arch, g.size, g.width, g.ports)
 					opts := Options{Size: g.size, Width: g.width, Ports: g.ports}
-					if ok, err := streamVerified(alg, arch, opts); err != nil {
+					if realised, err := verifiedMarch(alg, arch, opts); err != nil {
 						t.Fatal(err)
-					} else if ok && !raceflag.Enabled {
-						if exhaustive[name] == nil {
+					} else if !raceflag.Enabled {
+						fp := march.Fingerprint(realised)
+						if exhaustive[fp] == nil {
 							oracle := opts
 							oracle.Engine = EngineScalar
-							rep, err := Grade(alg, Reference, oracle)
+							rep, err := Grade(realised, Reference, oracle)
 							if err != nil {
 								t.Fatalf("%s: scalar: %v", what, err)
 							}
-							exhaustive[name] = rep
+							exhaustive[fp] = rep
 						}
-						want := *exhaustive[name]
+						want := *exhaustive[fp]
 						want.Architecture = arch
 						gradeMatches(t, what, alg, arch, opts, &want)
 					}
@@ -103,10 +106,13 @@ func TestSlicedMatchesWholeAndScalar(t *testing.T) {
 // beyond the library: seeded random march tests (every one valid, with
 // Del elements), widths 1, 2 and 4, one and two ports, and sampled
 // universes whose coupling pairs are drawn at random and so mostly lie
-// far apart.
+// far apart. Every draw the prog-FSM compiler accepts is graded on
+// prog-FSM too, after checking that its program's captured stream is
+// the reference stream of its Realized march; some draws must
+// decompose.
 func TestClassMatchesOnRandomMarches(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	pauses := 0
+	pauses, decomposed := 0, 0
 	for i := 0; i < 24; i++ {
 		alg := march.Random(rng)
 		alg.Name = fmt.Sprintf("random%d", i)
@@ -123,10 +129,33 @@ func TestClassMatchesOnRandomMarches(t *testing.T) {
 			},
 		}
 		arch := []Architecture{Reference, Microcode, Hardwired}[i%3]
-		gradeMatchesScalar(t, fmt.Sprintf("%s %v on %s %dx%dx%d", alg.Name, alg, arch, opts.Size, opts.Width, opts.Ports), alg, arch, opts)
+		what := func(arch Architecture) string {
+			return fmt.Sprintf("%s %v on %s %dx%dx%d", alg.Name, alg, arch, opts.Size, opts.Width, opts.Ports)
+		}
+		gradeMatchesScalar(t, what(arch), alg, arch, opts)
+
+		p, err := fsmbist.Compile(alg, fsmbist.CompileOpts{WordOriented: opts.Width > 1, Multiport: opts.Ports > 1})
+		if err != nil {
+			continue
+		}
+		if p.Decomposed {
+			decomposed++
+		}
+		rec := &march.Recorder{Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports)}
+		if res, err := p.Run(rec, fsmbist.ExecOpts{MaxFails: 1}); err != nil || res.Detected() {
+			t.Fatalf("%s: fault-free run: err %v", what(ProgFSM), err)
+		}
+		want := march.FullStream(p.Realized, opts.Size, opts.Width, opts.Ports, opts.Width == 1)
+		if !reflect.DeepEqual(rec.Ops, want) {
+			t.Fatalf("%s: captured stream is not the Realized march's", what(ProgFSM))
+		}
+		gradeMatchesScalar(t, what(ProgFSM), alg, ProgFSM, opts)
 	}
 	if pauses == 0 {
 		t.Fatal("no random march test carried a Del element")
+	}
+	if decomposed == 0 {
+		t.Fatal("no random march test decomposed on prog-FSM")
 	}
 }
 
@@ -201,26 +230,23 @@ func TestClassGradeChecksWholeGoodMachine(t *testing.T) {
 	for _, size := range []int{1, 3, 32} {
 		opts := Options{Size: size, Width: 4, Workers: 1}
 		opts.normalise()
-		if _, err := cachedClassPlan(alg, opts, cachedUniverse(opts)); err == nil {
+		if _, err := cachedPlan(alg, opts); err == nil {
 			t.Errorf("size %d: plan build accepted a stream whose fault-free machine misreads", size)
 		}
 	}
 }
 
 // TestClassPlanKeyedByAlgorithm is the stale-key regression: two
-// algorithms whose class tables differ, graded alternately on one
+// algorithms whose projections differ, graded alternately on one
 // geometry with warm caches, must each keep matching the scalar oracle.
 // A plan keyed by geometry alone would hand one algorithm the other's
-// classes. Every library algorithm has March C's table (its elements
-// run both address orders), so the first one only ascends; its classes
-// are coarser, and it is graded first, so a stale plan would merge
-// March C faults whose verdicts differ.
+// projections: the first only ascends, and it is graded first.
 func TestClassPlanKeyedByAlgorithm(t *testing.T) {
 	opts := Options{Size: 32, Width: 4, Workers: 1}
 	opts.normalise()
 	var algs [2]march.Algorithm
 	var want [2]*Report
-	var plans [2]*classPlan
+	var plans [2]*shapePlan
 	for i, text := range []string{
 		"b(w0); u(r0,w1); u(r1,w0); u(r0)",
 		"b(w0); u(r0,w1); u(r1,w0); d(r0,w1); d(r1,w0); b(r0)",
@@ -234,15 +260,12 @@ func TestClassPlanKeyedByAlgorithm(t *testing.T) {
 		if want[i], err = Grade(algs[i], Microcode, scalar); err != nil {
 			t.Fatal(err)
 		}
-		if ok, err := streamVerified(algs[i], Microcode, opts); err != nil || !ok {
-			t.Fatalf("%s: capture ok=%v err=%v", text, ok, err)
-		}
-		if plans[i], err = cachedClassPlan(algs[i], opts, cachedUniverse(opts)); err != nil {
+		if plans[i], err = cachedPlan(algs[i], opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if reflect.DeepEqual(plans[0].faults, plans[1].faults) && reflect.DeepEqual(plans[0].memberStart, plans[1].memberStart) {
-		t.Fatal("both algorithms have the same class table; the test needs two that differ")
+	if reflect.DeepEqual(plans[0], plans[1]) {
+		t.Fatal("both algorithms have the same projections; the test needs two that differ")
 	}
 	for round := 0; round < 4; round++ {
 		for i, alg := range algs {
@@ -253,6 +276,28 @@ func TestClassPlanKeyedByAlgorithm(t *testing.T) {
 			if !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("round %d: %s differs from scalar:\ngot  %v\nwant %v", round, alg.Name, got, want[i])
 			}
+		}
+	}
+}
+
+// TestPlanDoesNotGrowWithMemory pins that a plan holds nothing per
+// fault or per cell: from the surrogate's five words up, a march's plan
+// is the same whatever the memory's size, so its retained size does
+// not grow with the universe.
+func TestPlanDoesNotGrowWithMemory(t *testing.T) {
+	alg, _ := march.ByName("marchc++")
+	var want *shapePlan
+	for _, size := range []int{surrogateWords, 512, 16384} {
+		opts := Options{Size: size, Width: 4, Ports: 2}
+		opts.normalise()
+		plan, err := cachedPlan(alg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = plan
+		} else if !reflect.DeepEqual(plan, want) {
+			t.Fatalf("size %d: plan differs from the %d-word memory's", size, surrogateWords)
 		}
 	}
 }
@@ -277,7 +322,7 @@ func TestClassLanesMarchC512x4(t *testing.T) {
 }
 
 // TestClassMemberPanicQuarantinesOnlyIt panics the fault hook on one
-// member of a many-member class. The panic fails the member's batch,
+// member of a many-member cell. The panic fails the member's batch,
 // whose members all retry on the scalar oracle; only the panicking
 // fault is quarantined, and the report matches the scalar oracle run
 // with the same hook.
@@ -285,26 +330,20 @@ func TestClassMemberPanicQuarantinesOnlyIt(t *testing.T) {
 	alg, _ := march.ByName("marchc")
 	opts := Options{Size: 32, Width: 4}
 	opts.normalise()
-	if ok, err := streamVerified(alg, Microcode, opts); err != nil || !ok {
-		t.Fatalf("capture ok=%v err=%v", ok, err)
-	}
-	plan, err := cachedClassPlan(alg, opts, cachedUniverse(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := cachedUniverse(opts).partition()
 	big := 0
-	for c := range plan.faults {
-		if plan.memberStart[c+1]-plan.memberStart[c] > plan.memberStart[big+1]-plan.memberStart[big] {
+	for c := range cells.faults {
+		if cells.memberStart[c+1]-cells.memberStart[c] > cells.memberStart[big+1]-cells.memberStart[big] {
 			big = c
 		}
 	}
-	members := plan.members[plan.memberStart[big]:plan.memberStart[big+1]]
+	members := cells.members[cells.memberStart[big]:cells.memberStart[big+1]]
 	if len(members) < 8 {
-		t.Fatalf("largest class has %d members", len(members))
+		t.Fatalf("largest cell has %d members", len(members))
 	}
 	target := int(members[len(members)/2])
 	opts.FaultHook = chaos.PanicOn(target)
-	gradeMatchesScalar(t, "marchc with a panicking class member", alg, Microcode, opts)
+	gradeMatchesScalar(t, "marchc with a panicking cell member", alg, Microcode, opts)
 	// The batch's panic and the member's first scalar panic are each
 	// retried; the scalar engine retries the member's first panic only.
 	for _, c := range []struct {
@@ -329,11 +368,12 @@ func TestClassMemberPanicQuarantinesOnlyIt(t *testing.T) {
 	}
 }
 
-// TestClassPlanKeysOnData pins that the class key is the whole
-// projected sequence: words 1 and 2 of this stream project to the same
-// write, sense, read shape and differ only in data, so their SA0 faults,
-// equal once localised, must land in two classes (word 2's is detected,
-// word 1's is not).
+// TestClassPlanKeysOnData pins that a fault's lane replays the whole
+// projection of its shape, data included: words 1 and 2 of this stream
+// project to the same write, sense, read sequence and differ only in
+// data. Their SA0 faults, equal once localised, must land in two cells
+// whose replays on their shapes' projections disagree (word 2's is
+// detected, word 1's is not).
 func TestClassPlanKeysOnData(t *testing.T) {
 	cs, err := faults.NewCompiledStream(3, 1, 1, []faults.UOp{
 		{Kind: faults.UOpWrite, Addr: 0, Cell: 0, Data: 0},
@@ -346,16 +386,33 @@ func TestClassPlanKeysOnData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := buildPlan(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	universe := []faults.Fault{
 		{Kind: faults.SA, Cell: 1, Port: faults.AnyPort},
 		{Kind: faults.SA, Cell: 2, Port: faults.AnyPort},
 	}
 	p := buildPartition(universe, 3, 1)
-	if p.loc[0] != p.loc[1] {
-		t.Fatal("the two SA0 faults localise differently; the test needs them equal")
+	if len(p.faults) != 2 || p.faults[0] != p.faults[1] {
+		t.Fatalf("cells %v: want two, holding one localised fault", p.faults)
 	}
-	if plan, err := buildClassPlan(p, cs); err != nil || len(plan.faults) != 2 {
-		t.Fatalf("%d classes, want 2: projections differing only in data were merged", len(plan.faults))
+	var detected [2]bool
+	for _, b := range p.batches {
+		arena := faults.NewLaneInjectedPlanes(2, 1, 1, 1, nil)
+		arena.ResetPlanes(p.faults[b.lo:b.hi], 1)
+		var fail [faults.MaxPlanes]uint64
+		if _, err := arena.Replay(plan[b.shape], &fail); err != nil {
+			t.Fatal(err)
+		}
+		for c := b.lo; c < b.hi; c++ {
+			l := c - b.lo + 1
+			detected[p.members[p.memberStart[c]]] = fail[l>>6]>>uint(l&63)&1 == 1
+		}
+	}
+	if detected != [2]bool{false, true} {
+		t.Fatalf("detected %v, want word 1's SA0 missed and word 2's caught", detected)
 	}
 }
 

@@ -2,24 +2,23 @@ package coverage
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/artifact"
 	"repro/internal/faults"
 	"repro/internal/march"
 )
 
-// Class planning for the lane engine.
+// Cells and plans for the lane engine.
 //
-// Two faults are in one projection class when their supports (the one
-// or two words each can touch) project the stream to the same µop
-// sequence (faults.CompiledStream.Project) and their localised forms
-// are equal. A lane's verdict on a projected replay depends on nothing
-// else, so one lane per class decides every member.
+// Two faults are in one cell when their supports (the one or two words
+// each can touch) have the same shape (supportShape) and their
+// localised forms are equal. A support's projection of the stream
+// (faults.CompiledStream.Project) depends only on its shape, and a
+// lane's verdict on a projected replay depends on nothing but the
+// projection and the localised fault, so one lane per cell decides
+// every member under any march.
 //
-// A support's projection depends only on its shape (supportShape):
-// whether it is one word or two, whether the two are adjacent, and
-// whether it holds word 0 and word size−1. march.FullStream visits the
+// Why the shape decides the projection: march.FullStream visits the
 // addresses of every element in order, and its data depends only on
 // the background and the port pass, never on the address. So the µops
 // of a support's words interleave alike for every support of a shape,
@@ -30,14 +29,13 @@ import (
 // that support projects the surrogate's stream exactly as every
 // support of its shape projects the whole stream.
 //
-// The plan is cached per (algorithm, geometry, universe options). Its
-// build expands and compiles the surrogate's reference stream only,
-// checks the fault-free machine on it, projects one support per shape
-// the universe holds, and keeps each distinct projection as a 2-word
-// CompiledStream that batches replay directly. The architecture is
-// absent from the key: the lane engine only runs architectures whose
-// captured stream equals the reference stream (verifyStream), so they
-// all share one plan.
+// Cells belong to the universe (buildPartition, built once per cached
+// universe); the march enters only through the plan, cached per
+// (algorithm, geometry): one 2-word CompiledStream per shape the
+// memory holds, projected from the surrogate's reference stream. The
+// architecture is absent from the key: the lane engine grades every
+// architecture on the march its controller realises (verifyStream),
+// and architectures realising the same march share its plan.
 
 // Support shapes are bit sets. A 1-word memory's one word is both its
 // first and its last; shapes with both edge bits otherwise need a pair.
@@ -103,33 +101,58 @@ func shapeSupport(shape uint8, size int32) (words [2]int32, n int) {
 	}
 }
 
-// partition describes every universe fault by two small numbers: fault
-// i's support has shape shape[i], and the fault localises to
-// local[loc[i]]. Bit s of shapes is set when some fault has shape s.
+// partition is a universe's cells. Cell c replays faults[c], a
+// localised fault, on one lane; its verdict belongs to the universe
+// indices members[memberStart[c]:memberStart[c+1]], in universe order,
+// which all share faults[c].Kind. Cells are numbered shape by shape,
+// each in order of its first member in the universe, and each batch
+// packs a run of cells of one shape, so one batch replays one
+// projection.
 type partition struct {
-	shape  []uint8
-	loc    []int32
-	local  []faults.Fault
-	shapes uint16
+	faults      []faults.Fault
+	memberStart []int32
+	members     []int32
+	batches     []cellBatch
 }
 
-// buildPartition computes every fault's support shape and interns its
-// localised form, in one pass in universe order. A localised fault's
+// cellBatch grades cells [lo, hi) on the plan's projection of shape;
+// cell lo+k rides logical lane k+1, and the batch replays planes
+// bit-planes.
+type cellBatch struct {
+	lo, hi int32
+	shape  uint8
+	planes int32
+}
+
+// membersOf returns the universe indices of batch b's cell members.
+func (p *partition) membersOf(b *cellBatch) []int32 {
+	return p.members[p.memberStart[b.lo]:p.memberStart[b.hi]]
+}
+
+// buildPartition sorts the universe into cells. One pass in universe
+// order finds each fault's support shape and its localised form, whose
 // ID comes from a dense integer key, its template times its local
-// coordinates, looked up in flat tables; the fault is only localised
-// (faults.Localize) the first time its key appears.
+// coordinates, looked up in flat tables: a fault is only localised
+// (faults.Localize) the first time its key appears. The cells are then
+// numbered shape by shape, filled in universe order and split into
+// batches of at most BatchLimit(batchPlanes) lanes.
 func buildPartition(universe []faults.Fault, size, width int) *partition {
-	p := &partition{shape: make([]uint8, len(universe)), loc: make([]int32, len(universe))}
 	span := 2 * width // cells of a 2-word local memory
 	// base[t] is 1 + the first key of template t, 0 while t is unseen;
-	// ids[key] is 1 + the local ID of key, 0 while key is unseen.
-	var base, ids []int32
+	// ids[key] is 1 + the local ID of key, 0 while key is unseen;
+	// cellOf[loc*numShapes+shape] is 1 + the cell of that pair in order
+	// of first appearance, 0 while the pair is unseen.
+	var (
+		base, ids, cellOf []int32
+		local             []faults.Fault
+		cellShape         []uint8
+		cellLoc           []int32
+	)
+	cell := make([]int32, len(universe))
 	for i := range universe {
 		f := &universe[i]
 		words, n := faults.Support(*f, width)
 		sh := supportShape(words, n, int32(size))
-		p.shape[i] = sh
-		p.shapes |= 1 << sh
 		t := localTemplate(f)
 		if t >= len(base) {
 			base = append(base, make([]int32, t+1-len(base))...)
@@ -140,10 +163,68 @@ func buildPartition(universe []faults.Fault, size, width int) *partition {
 		}
 		key := int(base[t]-1) + localCoord(f, width, words[0])
 		if ids[key] == 0 {
-			p.local = append(p.local, faults.Localize(*f, width, words[:n]))
-			ids[key] = int32(len(p.local))
+			local = append(local, faults.Localize(*f, width, words[:n]))
+			ids[key] = int32(len(local))
+			cellOf = append(cellOf, make([]int32, numShapes)...)
 		}
-		p.loc[i] = ids[key] - 1
+		k := int(ids[key]-1)*numShapes + int(sh)
+		if cellOf[k] == 0 {
+			cellShape = append(cellShape, sh)
+			cellLoc = append(cellLoc, ids[key]-1)
+			cellOf[k] = int32(len(cellShape))
+		}
+		cell[i] = cellOf[k] - 1
+	}
+
+	// Number the cells shape by shape: order lists them in their final
+	// order, and number maps a cell's first-appearance index to it.
+	order := make([]int32, 0, len(cellShape))
+	for s := range uint8(numShapes) {
+		for c, sh := range cellShape {
+			if sh == s {
+				order = append(order, int32(c))
+			}
+		}
+	}
+	number := make([]int32, len(order))
+	p := &partition{
+		faults:      make([]faults.Fault, len(order)),
+		memberStart: make([]int32, len(order)+1),
+		members:     make([]int32, len(universe)),
+	}
+	for c, first := range order {
+		number[first] = int32(c)
+		p.faults[c] = local[cellLoc[first]]
+	}
+	// Count members into memberStart[c+1], sum, then fill in universe
+	// order through a cursor per cell.
+	for i, c := range cell {
+		cell[i] = number[c]
+		p.memberStart[cell[i]+1]++
+	}
+	for c := range order {
+		p.memberStart[c+1] += p.memberStart[c]
+	}
+	fill := number // dead once the members are renumbered
+	copy(fill, p.memberStart)
+	for i, c := range cell {
+		p.members[fill[c]] = int32(i)
+		fill[c]++
+	}
+
+	capacity := int32(faults.BatchLimit(batchPlanes))
+	for lo := int32(0); lo < int32(len(order)); {
+		sh := cellShape[order[lo]]
+		hi := lo + 1
+		for hi < int32(len(order)) && hi-lo < capacity && cellShape[order[hi]] == sh {
+			hi++
+		}
+		p.batches = append(p.batches, cellBatch{
+			lo: lo, hi: hi, shape: sh,
+			// Lanes 1..hi-lo are occupied; lane 0 is the good machine.
+			planes: min((hi-lo+64)/64, batchPlanes),
+		})
+		lo = hi
 	}
 	return p
 }
@@ -201,53 +282,32 @@ func localCoord(f *faults.Fault, width int, lo int32) int {
 // logical lanes.
 const batchPlanes = DefaultLanes / 64
 
-// classPlan is a universe's projection classes under one stream. Class
-// c replays faults[c] on one lane; its verdict belongs to the universe
-// indices members[memberStart[c]:memberStart[c+1]], in universe order,
-// which all share faults[c].Kind. Classes sharing a projection are
-// numbered consecutively, and each batch packs a run of them, so one
-// batch replays one projection.
-type classPlan struct {
-	faults      []faults.Fault
-	memberStart []int32
-	members     []int32
-	batches     []classBatch
-	// projs holds each distinct projection as a 2-word stream.
-	projs []*faults.CompiledStream
-}
+// shapePlan is an algorithm's plan on one geometry: its projection
+// onto a support of each shape the memory holds, compiled as a 2-word
+// stream (nil for shapes the memory lacks).
+type shapePlan [numShapes]*faults.CompiledStream
 
-// classBatch grades classes [lo, hi) on projs[proj]; class lo+k rides
-// logical lane k+1, and the batch replays planes bit-planes.
-type classBatch struct {
-	lo, hi int32
-	proj   int32
-	planes int32
-}
-
-// membersOf returns the universe indices of batch b's class members.
-func (p *classPlan) membersOf(b *classBatch) []int32 {
-	return p.members[p.memberStart[b.lo]:p.memberStart[b.hi]]
-}
-
-// planKey content-addresses a class plan: the algorithm, the geometry
-// and the universe options. The algorithm fingerprint is in the key,
-// so two algorithms on one geometry never share classes.
+// planKey content-addresses a plan: the algorithm and the geometry.
+// The algorithm fingerprint is in the key, so two algorithms on one
+// geometry never share projections.
 type planKey struct {
 	algFP              uint64
 	size, width, ports int
-	uopts              faults.UniverseOpts
 }
 
-var planCache = artifact.New[planKey, *classPlan]("plan", 0)
+var planCache = artifact.New[planKey, *shapePlan]("plan", 0)
 
-// cachedClassPlan returns the class plan of the workload.
-func cachedClassPlan(alg march.Algorithm, opts Options, u *faultUniverse) (*classPlan, error) {
+// cachedPlan returns the plan of alg, the march the graded controller
+// realises, on the workload's geometry. Projection exactness needs
+// every word's first access to be a write, which a valid march
+// guarantees; every controller's synthesis validates its march, and
+// fsmbist.Compile validates the Realized march as well.
+func cachedPlan(alg march.Algorithm, opts Options) (*shapePlan, error) {
 	key := planKey{
 		algFP: march.Fingerprint(alg),
 		size:  opts.Size, width: opts.Width, ports: opts.Ports,
-		uopts: opts.Universe,
 	}
-	return planCache.Get(key, func() (*classPlan, error) {
+	return planCache.Get(key, func() (*shapePlan, error) {
 		cs, err := surrogateStream(alg, opts)
 		if err != nil {
 			return nil, err
@@ -259,7 +319,7 @@ func cachedClassPlan(alg march.Algorithm, opts Options, u *faultUniverse) (*clas
 		if err := cs.GoodMachineErr(); err != nil {
 			return nil, err
 		}
-		return buildClassPlan(u.partition(), cs)
+		return buildPlan(cs)
 	})
 }
 
@@ -298,119 +358,29 @@ func lowerStream(stream []march.StreamOp, size, width, ports int) (*faults.Compi
 	return faults.NewCompiledStream(size, width, ports, uops)
 }
 
-// buildClassPlan classes a partition under the surrogate's compiled
-// stream. It projects one support per shape the partition holds,
-// merges projections with equal µops and compiles each distinct one as
-// a 2-word stream. Classes, one per (projection, localised fault), are
-// numbered projection by projection, each in order of its first member
-// in the universe, and split into batches of at most
-// BatchLimit(batchPlanes) lanes. A class's members are in universe
-// order.
-func buildClassPlan(p *partition, cs *faults.CompiledStream) (*classPlan, error) {
+// buildPlan projects the surrogate's compiled stream onto one support
+// of every shape the surrogate holds, which are the shapes of the
+// workload's memory, and compiles each projection as a 2-word stream.
+func buildPlan(cs *faults.CompiledStream) (*shapePlan, error) {
 	size, width, ports := cs.Geometry()
-	var (
-		projOf [numShapes]int32
-		seqs   [][]faults.UOp
-	)
+	n := int32(size)
+	var held uint16
+	for a := int32(0); a < n; a++ {
+		held |= 1 << supportShape([2]int32{a}, 1, n)
+		for b := a + 1; b < n; b++ {
+			held |= 1 << supportShape([2]int32{a, b}, 2, n)
+		}
+	}
+	plan := new(shapePlan)
 	for s := range numShapes {
-		if p.shapes&(1<<s) == 0 {
+		if held&(1<<s) == 0 {
 			continue
 		}
-		words, n := shapeSupport(uint8(s), int32(size))
-		seq := cs.Project(words[:n], nil)
-		id := slices.IndexFunc(seqs, func(q []faults.UOp) bool { return slices.Equal(q, seq) })
-		if id < 0 {
-			id = len(seqs)
-			seqs = append(seqs, seq)
-		}
-		projOf[s] = int32(id)
-	}
-
-	// A class's key is proj*nl + its local ID. cls[key] is 1 + its
-	// class in order of first appearance, then 1 + its final number
-	// once the classes are sorted stably by projection.
-	nl := int32(len(p.local))
-	cls := make([]int32, int32(len(seqs))*nl)
-	var keys []int32
-	for i, s := range p.shape {
-		k := projOf[s]*nl + p.loc[i]
-		if cls[k] == 0 {
-			keys = append(keys, k)
-			cls[k] = int32(len(keys))
-		}
-	}
-	order := make([]int32, len(keys))
-	for c := range order {
-		order[c] = keys[c] / nl
-	}
-	order = countingSort(order, len(seqs))
-
-	plan := &classPlan{
-		faults:      make([]faults.Fault, len(keys)),
-		memberStart: make([]int32, len(keys)+1),
-		members:     make([]int32, len(p.shape)),
-		projs:       make([]*faults.CompiledStream, len(seqs)),
-	}
-	classProj := make([]int32, len(keys))
-	for c, first := range order {
-		k := keys[first]
-		cls[k] = int32(c) + 1
-		classProj[c] = k / nl
-		plan.faults[c] = p.local[k%nl]
-	}
-	for pj, seq := range seqs {
+		words, k := shapeSupport(uint8(s), n)
 		var err error
-		if plan.projs[pj], err = faults.NewCompiledStream(2, width, ports, seq); err != nil {
-			return nil, fmt.Errorf("projection %d fails µop validation: %w", pj, err)
+		if plan[s], err = faults.NewCompiledStream(2, width, ports, cs.Project(words[:k], nil)); err != nil {
+			return nil, fmt.Errorf("shape %04b projection fails µop validation: %w", s, err)
 		}
-	}
-	// Count members into memberStart[c+1], sum, then fill in universe
-	// order through a cursor per class.
-	for i, s := range p.shape {
-		plan.memberStart[cls[projOf[s]*nl+p.loc[i]]]++
-	}
-	for c := range keys {
-		plan.memberStart[c+1] += plan.memberStart[c]
-	}
-	fill := order // dead once the classes are numbered
-	copy(fill, plan.memberStart)
-	for i, s := range p.shape {
-		c := cls[projOf[s]*nl+p.loc[i]] - 1
-		plan.members[fill[c]] = int32(i)
-		fill[c]++
-	}
-
-	capacity := int32(faults.BatchLimit(batchPlanes))
-	for lo := int32(0); lo < int32(len(keys)); {
-		pj := classProj[lo]
-		hi := lo + 1
-		for hi < int32(len(keys)) && hi-lo < capacity && classProj[hi] == pj {
-			hi++
-		}
-		plan.batches = append(plan.batches, classBatch{
-			lo: lo, hi: hi, proj: pj,
-			// Lanes 1..hi-lo are occupied; lane 0 is the good machine.
-			planes: min((hi-lo+64)/64, batchPlanes),
-		})
-		lo = hi
 	}
 	return plan, nil
-}
-
-// countingSort returns 0..len(key)-1 stably sorted by key, whose
-// values lie in [0, buckets).
-func countingSort(key []int32, buckets int) []int32 {
-	count := make([]int32, buckets+1)
-	for _, k := range key {
-		count[k+1]++
-	}
-	for b := 0; b < buckets; b++ {
-		count[b+1] += count[b]
-	}
-	dst := make([]int32, len(key))
-	for i, k := range key {
-		dst[count[k]] = int32(i)
-		count[k]++
-	}
-	return dst
 }

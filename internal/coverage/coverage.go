@@ -5,10 +5,11 @@
 // captures the architecture's canonical operation stream once and
 // replays it, projected onto the one or two words a fault can touch,
 // over batches packed into uint64 bit-planes (PPSFP applied to the
-// behavioural memory model), one lane per class of faults that would
-// replay identically. Both produce byte-identical Reports; the lane
-// engine is used automatically whenever the captured stream matches
-// the reference stream.
+// behavioural memory model), one lane per cell of faults that would
+// replay identically. Both produce byte-identical Reports. Every
+// architecture grades on the lane engine, against the march its
+// controller realises; the scalar oracle is the reference it is tested
+// against and the retry of a batch that panicked.
 //
 // Grading is hardened against the three failure modes of matrix-scale
 // sweeps: cancellation (GradeContext stops workers at the next fault or
@@ -31,7 +32,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/faults"
 	"repro/internal/march"
-	"repro/internal/obs"
 )
 
 // Architecture selects the execution engine.
@@ -61,15 +61,18 @@ func (a Architecture) String() string {
 type Engine uint8
 
 const (
-	// EngineAuto captures the architecture's operation stream on a
-	// fault-free memory and, when it matches the canonical reference
-	// stream, grades on the lane engine: one lane per projection
-	// class, up to DefaultLanes-1 classes per batch replay. Otherwise it
-	// falls back to EngineScalar. Reports are byte-identical either way.
+	// EngineAuto checks the architecture's operation stream on a
+	// fault-free memory against the reference stream of the march its
+	// controller realises (prog-FSM's Realized march, the source
+	// algorithm otherwise), then grades on the lane engine under that
+	// march: one lane per cell of the universe's partition, up to
+	// DefaultLanes-1 cells per batch replay. A stream that differs is
+	// an error.
 	EngineAuto Engine = iota
 	// EngineScalar simulates one fault at a time: a fresh injected
 	// memory and one complete test execution per fault — the oracle the
-	// lane engine is checked against.
+	// lane engine is checked against. Tests and benchmarks select it;
+	// no driver does.
 	EngineScalar
 )
 
@@ -220,9 +223,9 @@ type Report struct {
 
 // Grade runs the algorithm against every fault in the universe on the
 // selected architecture, using the engine Options selects (lane-batched
-// stream replay by default, with automatic fallback to the scalar
-// oracle). The Report — including the Missed and Quarantined orderings —
-// is byte-identical across engines and worker counts.
+// stream replay by default). The Report — including the Missed and
+// Quarantined orderings — is byte-identical across engines and worker
+// counts.
 func Grade(alg march.Algorithm, arch Architecture, opts Options) (*Report, error) {
 	//mbist:exempt ctxflow compatibility wrapper over GradeContext for non-cancellable callers
 	return GradeContext(context.Background(), alg, arch, opts)
@@ -254,9 +257,9 @@ type universeKey struct {
 	opts        faults.UniverseOpts
 }
 
-// faultUniverse is a cached universe. Its partition into support
-// shapes and localised faults (compile.go), which only the lane engine
-// reads, is built on first use and kept with it.
+// faultUniverse is a cached universe. Its partition into cells of one
+// support shape and one localised fault (compile.go), which only the
+// lane engine reads, is built on first use and kept with it.
 type faultUniverse struct {
 	faults      []faults.Fault
 	size, width int
@@ -292,16 +295,6 @@ func UniverseSize(opts Options) int {
 	return len(cachedUniverse(opts).faults)
 }
 
-// GradeSerial grades with the scalar per-fault engine: one injected
-// memory and one complete test execution per fault. It is the oracle
-// Grade's lane-parallel engine is validated against ("serial" means
-// one fault at a time, matching logicbist.RandomPatternCoverageSerial;
-// the per-fault work still fans out over opts.Workers).
-func GradeSerial(alg march.Algorithm, arch Architecture, opts Options) (*Report, error) {
-	opts.Engine = EngineScalar
-	return Grade(alg, arch, opts)
-}
-
 // gradeUniverse grades a pre-enumerated universe; opts must be
 // normalised and the universe enumerated with opts.Universe on the
 // opts geometry. Matrix uses it to enumerate the fault universe once
@@ -317,23 +310,18 @@ func gradeUniverse(ctx context.Context, alg march.Algorithm, arch Architecture, 
 	return r.finish()
 }
 
-// runEngine grades every unresolved fault with the engine the options
-// select: the lane-batched stream replay when EngineAuto's captured
-// stream matches the reference stream, the scalar oracle otherwise.
+// runEngine grades every unresolved fault: on the lane engine under
+// the march the architecture's controller realises, or on the scalar
+// oracle when the options select it.
 func (r *gradeRun) runEngine() error {
-	if r.opts.Engine == EngineAuto {
-		ok, err := streamVerified(r.alg, r.arch, r.opts)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return r.gradeBatched()
-		}
-		// The captured stream diverged from the reference stream (e.g.
-		// a decomposed prog-FSM program): grade with the scalar oracle.
-		obs.Active().Counter("coverage.stream_fallbacks").Add(1)
+	if r.opts.Engine == EngineScalar {
+		return r.gradeScalar()
 	}
-	return r.gradeScalar()
+	realised, err := verifiedMarch(r.alg, r.arch, r.opts)
+	if err != nil {
+		return err
+	}
+	return r.gradeBatched(realised)
 }
 
 // String renders the report as an aligned table sorted by fault kind.

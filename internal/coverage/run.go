@@ -20,9 +20,9 @@ import (
 // cut no matter how many workers are grading, and the race detector
 // stays quiet across engines.
 //
-// The lane engine keeps one verdict per projection class: a done and a
-// detected bit per class, from which the report is weighted by member
-// count. Per-fault verdict arrays are a layer over that, built only
+// The lane engine keeps one verdict per cell of the universe's
+// partition: a done and a detected bit per cell, from which the report
+// is weighted by member count. Per-fault verdict arrays are a layer over that, built only
 // when the run needs per-fault identity (perFaultLocked): to resume, to
 // grade a shard range, to checkpoint, to call a FaultHook, to retry a
 // panicked batch's members one by one, and on the scalar engine.
@@ -41,10 +41,11 @@ type gradeRun struct {
 	resumed []bool
 
 	mu sync.Mutex
-	// plan is the lane engine's class plan; while graded is nil,
-	// classDone[c] and classDet[c] are class c's verdict.
-	plan                *classPlan
-	classDone, classDet []bool
+	// cells is the universe's partition once the lane engine grades;
+	// while graded is nil, cellDone[c] and cellDet[c] are cell c's
+	// verdict.
+	cells             *partition
+	cellDone, cellDet []bool
 	// graded and detected are the per-fault layer, nil until the run
 	// needs it; from then on they hold every verdict.
 	graded      []bool
@@ -117,22 +118,23 @@ func (r *gradeRun) pending(members []int32) int {
 	return n
 }
 
-// usePlan hands the run the lane engine's plan before workers start.
-// Without a per-fault layer the run keeps its verdicts per class.
-func (r *gradeRun) usePlan(plan *classPlan) {
+// useCells hands the run the universe's cells before the lane engine's
+// workers start. Without a per-fault layer the run keeps its verdicts
+// per cell.
+func (r *gradeRun) useCells(cells *partition) {
 	r.mu.Lock()
-	r.plan = plan
+	r.cells = cells
 	if r.graded == nil {
-		n := len(plan.faults)
+		n := len(cells.faults)
 		flags := make([]bool, 2*n)
-		r.classDone, r.classDet = flags[:n:n], flags[n:]
+		r.cellDone, r.cellDet = flags[:n:n], flags[n:]
 	}
 	r.mu.Unlock()
 }
 
 // perFaultLocked gives the run its per-fault layer, if it has none:
-// one verdict pair per universe fault, seeded from the class verdicts
-// committed so far. Per-fault verdicts then replace the class ones.
+// one verdict pair per universe fault, seeded from the cell verdicts
+// committed so far. Per-fault verdicts then replace the cell ones.
 // With settle set it also gives the run its resumed marks, from the
 // same allocation when the layer is new. The caller holds r.mu, or
 // owns the run before its workers start.
@@ -154,16 +156,16 @@ func (r *gradeRun) perFaultLocked(settle bool) {
 	if settle {
 		r.resumed = flags[2*n:]
 	}
-	for c, done := range r.classDone {
+	for c, done := range r.cellDone {
 		if !done {
 			continue
 		}
-		for _, i := range r.plan.members[r.plan.memberStart[c]:r.plan.memberStart[c+1]] {
+		for _, i := range r.cells.members[r.cells.memberStart[c]:r.cells.memberStart[c+1]] {
 			r.graded[i] = true
-			r.detected[i] = r.classDet[c]
+			r.detected[i] = r.cellDet[c]
 		}
 	}
-	r.classDone, r.classDet = nil, nil
+	r.cellDone, r.cellDet = nil, nil
 }
 
 // record commits one fault's verdict.
@@ -178,23 +180,23 @@ func (r *gradeRun) record(i int, detected bool) {
 	r.mu.Unlock()
 }
 
-// commitClasses commits a class batch's verdicts in one critical
-// section: class b.lo+k rode logical lane k+1 (plane (k+1)/64, bit
-// (k+1)%64 of the fail masks). Without a per-fault layer that sets the
-// classes' verdict bits; with one, the verdict settles each member.
+// commitCells commits a batch's verdicts in one critical section: cell
+// b.lo+k rode logical lane k+1 (plane (k+1)/64, bit (k+1)%64 of the
+// fail masks). Without a per-fault layer that sets the cells' verdict
+// bits; with one, the verdict settles each member.
 // Faults already settled before grading started keep their prior
 // verdict (the replay result is identical anyway — verdicts are
 // deterministic — but the resumed state stays authoritative).
 //
 //mbist:hotpath
-func (r *gradeRun) commitClasses(plan *classPlan, b *classBatch, fail *[faults.MaxPlanes]uint64) {
+func (r *gradeRun) commitCells(cells *partition, b *cellBatch, fail *[faults.MaxPlanes]uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.graded == nil {
 		for c := b.lo; c < b.hi; c++ {
 			l := c - b.lo + 1
-			r.classDone[c] = true
-			r.classDet[c] = fail[l>>6]>>uint(l&63)&1 == 1
+			r.cellDone[c] = true
+			r.cellDet[c] = fail[l>>6]>>uint(l&63)&1 == 1
 		}
 		return
 	}
@@ -202,7 +204,7 @@ func (r *gradeRun) commitClasses(plan *classPlan, b *classBatch, fail *[faults.M
 	for c := b.lo; c < b.hi; c++ {
 		l := c - b.lo + 1
 		d := fail[l>>6]>>uint(l&63)&1 == 1
-		for _, ui := range plan.members[plan.memberStart[c]:plan.memberStart[c+1]] {
+		for _, ui := range cells.members[cells.memberStart[c]:cells.memberStart[c+1]] {
 			if r.settled(int(ui)) {
 				continue
 			}
@@ -287,7 +289,7 @@ func (r *gradeRun) finish() (*Report, error) {
 	return rep, nil
 }
 
-// buildReportLocked renders the report from the class verdicts, or
+// buildReportLocked renders the report from the cell verdicts, or
 // from the per-fault layer when the run has one.
 func (r *gradeRun) buildReportLocked() *Report {
 	rep := &Report{
@@ -299,8 +301,8 @@ func (r *gradeRun) buildReportLocked() *Report {
 	// Tally per-kind ratios into a flat array (Kind is a small enum) and
 	// build the map once at the end.
 	var byKind [faults.NumKinds]Ratio
-	if r.graded == nil && r.plan != nil {
-		r.classTallyLocked(rep, &byKind)
+	if r.graded == nil && r.cells != nil {
+		r.cellTallyLocked(rep, &byKind)
 	} else {
 		r.faultTallyLocked(rep, &byKind)
 	}
@@ -316,21 +318,21 @@ func (r *gradeRun) buildReportLocked() *Report {
 	return rep
 }
 
-// classTallyLocked tallies the class verdicts, each weighted by its
-// member count, and lists the members of undetected classes in
-// universe order through a transient bitset.
-func (r *gradeRun) classTallyLocked(rep *Report, byKind *[faults.NumKinds]Ratio) {
-	plan := r.plan
+// cellTallyLocked tallies the cell verdicts, each weighted by its
+// member count, and lists the members of undetected cells in universe
+// order through a transient bitset.
+func (r *gradeRun) cellTallyLocked(rep *Report, byKind *[faults.NumKinds]Ratio) {
+	cells := r.cells
 	missed := 0
-	for c, done := range r.classDone {
+	for c, done := range r.cellDone {
 		if !done {
 			continue
 		}
-		n := int(plan.memberStart[c+1] - plan.memberStart[c])
-		kr := &byKind[plan.faults[c].Kind]
+		n := int(cells.memberStart[c+1] - cells.memberStart[c])
+		kr := &byKind[cells.faults[c].Kind]
 		rep.Graded += n
 		kr.Total += n
-		if r.classDet[c] {
+		if r.cellDet[c] {
 			kr.Detected += n
 		} else {
 			missed += n
@@ -340,9 +342,9 @@ func (r *gradeRun) classTallyLocked(rep *Report, byKind *[faults.NumKinds]Ratio)
 		return
 	}
 	set := make([]uint64, (len(r.universe)+63)/64)
-	for c, done := range r.classDone {
-		if done && !r.classDet[c] {
-			for _, i := range plan.members[plan.memberStart[c]:plan.memberStart[c+1]] {
+	for c, done := range r.cellDone {
+		if done && !r.cellDet[c] {
+			for _, i := range cells.members[cells.memberStart[c]:cells.memberStart[c+1]] {
 				set[i>>6] |= 1 << uint(i&63)
 			}
 		}

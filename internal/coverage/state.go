@@ -116,8 +116,8 @@ func (s *State) UnmarshalJSON(data []byte) error {
 // universe options — everything that determines the fault universe and
 // the per-fault verdicts. Worker count and engine are deliberately
 // excluded: reports are byte-identical across both, so a checkpoint
-// taken at -workers 8 on the lane engine resumes correctly at
-// -workers 1 on the scalar oracle (and any combination in between).
+// taken with 8 workers on the lane engine resumes correctly with one
+// worker on the scalar oracle (and any combination in between).
 func Fingerprint(alg march.Algorithm, arch Architecture, opts Options) string {
 	opts.normalise()
 	u := opts.Universe

@@ -43,11 +43,7 @@ func FullStream(a Algorithm, size, width, ports int, singleBackground bool) []St
 }
 
 func expandStream(a Algorithm, size, width, ports int, singleBackground, pauses bool) []StreamOp {
-	mask := wordMask(width)
-	bgs := Backgrounds(width)
-	if singleBackground {
-		bgs = bgs[:1]
-	}
+	c := NewStreamCursor(a, size, width, ports, singleBackground)
 	n := 0
 	for _, e := range a.Elements {
 		n += size * len(e.Ops)
@@ -55,42 +51,76 @@ func expandStream(a Algorithm, size, width, ports int, singleBackground, pauses 
 			n++
 		}
 	}
-	ops := make([]StreamOp, 0, ports*len(bgs)*n)
-	for port := 0; port < ports; port++ {
-		for _, bg := range bgs {
-			for _, e := range a.Elements {
-				ops = appendElement(ops, e, size, port, bg, mask, pauses)
-			}
+	ops := make([]StreamOp, 0, ports*len(c.bgs)*n)
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
+		if pauses || !op.Pause {
+			ops = append(ops, op)
 		}
 	}
 	return ops
 }
 
-// appendElement expands one march element over the address range into
-// ops.
-func appendElement(ops []StreamOp, e Element, size, port int, bg, mask uint64, pauses bool) []StreamOp {
-	if pauses && e.PauseBefore {
-		ops = append(ops, StreamOp{Pause: true})
+// StreamCursor yields FullStream one op at a time without expanding it,
+// so a controller's operations can be checked against the reference as
+// they are issued. It is also the one expansion of a march into ops:
+// FullStream and OpStreamPorts collect what it yields.
+type StreamCursor struct {
+	alg          Algorithm
+	size, ports  int
+	bgs          []uint64
+	mask         uint64
+	port, bg, el int
+	k, op        int
+	paused       bool
+}
+
+// NewStreamCursor returns a cursor over FullStream(a, size, width,
+// ports, singleBackground).
+func NewStreamCursor(a Algorithm, size, width, ports int, singleBackground bool) *StreamCursor {
+	bgs := Backgrounds(width)
+	if singleBackground {
+		bgs = bgs[:1]
 	}
-	for k := 0; k < size; k++ {
-		addr := k
-		if e.Order == Down {
-			addr = size - 1 - k
+	c := &StreamCursor{alg: a, size: size, ports: ports, bgs: bgs, mask: wordMask(width)}
+	if len(a.Elements) == 0 {
+		c.port = ports
+	}
+	return c
+}
+
+// Next returns the next op of the stream, or ok false once the stream
+// is exhausted.
+func (c *StreamCursor) Next() (op StreamOp, ok bool) {
+	for c.port < c.ports {
+		e := &c.alg.Elements[c.el]
+		if e.PauseBefore && !c.paused {
+			c.paused = true
+			return StreamOp{Pause: true}, true
 		}
-		for _, op := range e.Ops {
-			data := bg
-			if op.Data {
-				data = ^bg & mask
+		if c.k < c.size && len(e.Ops) > 0 {
+			addr := c.k
+			if e.Order == Down {
+				addr = c.size - 1 - c.k
 			}
-			ops = append(ops, StreamOp{
-				Write: op.Kind == Write,
-				Port:  port,
-				Addr:  addr,
-				Data:  data,
-			})
+			o := e.Ops[c.op]
+			data := c.bgs[c.bg]
+			if o.Data {
+				data = ^data & c.mask
+			}
+			if c.op++; c.op == len(e.Ops) {
+				c.op, c.k = 0, c.k+1
+			}
+			return StreamOp{Write: o.Kind == Write, Port: c.port, Addr: addr, Data: data}, true
+		}
+		c.k, c.paused = 0, false
+		if c.el++; c.el == len(c.alg.Elements) {
+			c.el = 0
+			if c.bg++; c.bg == len(c.bgs) {
+				c.bg, c.port = 0, c.port+1
+			}
 		}
 	}
-	return ops
+	return StreamOp{}, false
 }
 
 // Recorder wraps a memory and records every operation issued to it as

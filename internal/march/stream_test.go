@@ -89,3 +89,29 @@ func TestRecorderForwardsGeometry(t *testing.T) {
 		t.Errorf("recorder geometry %dx%d/%dp, want 8x4/2p", rec.Size(), rec.Width(), rec.Ports())
 	}
 }
+
+// TestStreamCursorYieldsFullStream: the cursor must yield FullStream op
+// for op and then stop, on every library algorithm, with and without
+// the single-background restriction, on one and two ports.
+func TestStreamCursorYieldsFullStream(t *testing.T) {
+	for name := range Library() {
+		alg, _ := ByName(name)
+		for _, g := range []struct{ size, width, ports int }{{1, 1, 1}, {5, 1, 2}, {6, 4, 1}, {3, 2, 3}} {
+			for _, single := range []bool{true, false} {
+				want := FullStream(alg, g.size, g.width, g.ports, single)
+				c := NewStreamCursor(alg, g.size, g.width, g.ports, single)
+				for i, w := range want {
+					if got, ok := c.Next(); !ok || got != w {
+						t.Fatalf("%s %v single=%v: op %d is %+v (ok %v), want %+v", name, g, single, i, got, ok, w)
+					}
+				}
+				if got, ok := c.Next(); ok {
+					t.Fatalf("%s %v single=%v: cursor runs past the %d-op stream: %+v", name, g, single, len(want), got)
+				}
+			}
+		}
+	}
+	if _, ok := NewStreamCursor(Algorithm{Name: "empty"}, 4, 1, 1, true).Next(); ok {
+		t.Error("empty algorithm yielded an op")
+	}
+}

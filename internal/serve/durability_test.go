@@ -225,17 +225,17 @@ func TestFinishedJobsReleaseCheckpointStates(t *testing.T) {
 }
 
 // TestJournalWithReplayFieldRecovers pins compatibility with journals
-// written before the replay-mode field was removed from sweep.Spec: an
-// accepted request carrying "replay" still recovers and grades, since
-// journal records decode leniently (only POST /v1/jobs rejects unknown
-// fields).
+// written before the replay-mode and engine fields were removed from
+// sweep.Spec: an accepted request carrying "replay" and "engine" still
+// recovers and grades, since journal records decode leniently (only
+// POST /v1/jobs rejects unknown fields).
 func TestJournalWithReplayFieldRecovers(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := resilience.OpenJournal(filepath.Join(dir, jobsJournalName), jobsJournalOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := json.RawMessage(`{"op":"accepted","id":"job-7","req":{"kind":"grade","grade":{"algs":"mats+","size":8,"replay":"interpreted"}}}`)
+	rec := json.RawMessage(`{"op":"accepted","id":"job-7","req":{"kind":"grade","grade":{"algs":"mats+","size":8,"replay":"interpreted","engine":"scalar"}}}`)
 	if err := j.Append(rec); err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@
 //	GET  /v1/metrics         obs registry snapshot (?format=json)
 //	GET  /v1/healthz         liveness + queue depth + journal info
 //
-// Submissions are validated synchronously — an unknown algorithm,
-// architecture or engine, or a grade whose fault universe exceeds
+// Submissions are validated synchronously — an unknown field,
+// algorithm or architecture, or a grade whose fault universe exceeds
 // maxGradeFaults, whose shards exceed maxGradeShards or whose workers
 // exceed 256, is a 400 at POST time, not a failed job. A body must
 // hold exactly one JSON object (anything after it is a 400) of at most

@@ -192,7 +192,9 @@ func TestSubmitValidationAndLookupErrors(t *testing.T) {
 	}{
 		{`{"kind":"teleport"}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"algs":"nosuch"}}`, http.StatusBadRequest},
-		{`{"kind":"grade","grade":{"engine":"warp"}}`, http.StatusBadRequest},
+		// The engine is no request field: even the old default is
+		// an unknown field.
+		{`{"kind":"grade","grade":{"engine":"auto"}}`, http.StatusBadRequest},
 		{`{"kind":"grade","grade":{"shards":-1}}`, http.StatusBadRequest},
 		// Shard and worker counts are bounded before anything is
 		// allocated for them.

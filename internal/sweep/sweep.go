@@ -1,7 +1,7 @@
 // Package sweep is the shared workload plumbing of the coverage
 // drivers. cmd/mbistcov (flags) and cmd/mbistd (JSON requests) resolve
 // the same Spec into the same Workload — one place owns the algorithm
-// list, architecture and engine defaults, so the CLI and the
+// list, architecture and geometry defaults, so the CLI and the
 // service cannot drift, and a service-graded report diffs
 // byte-identical against the CLI's stdout.
 //
@@ -42,7 +42,6 @@ const (
 	DefaultWidth   = 1
 	DefaultPorts   = 1
 	DefaultWorkers = 0
-	DefaultEngine  = "auto"
 )
 
 // Spec is the wire/flag form of one coverage workload. The zero value
@@ -67,8 +66,6 @@ type Spec struct {
 	Ports int `json:"ports,omitempty"`
 	// Workers is the grading worker count (0 = all CPUs, 1 = serial).
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the fault-simulation engine: auto or scalar.
-	Engine string `json:"engine,omitempty"`
 	// Timeout is the per-run deadline as a Go duration string ("90s",
 	// "5m"); empty means no deadline. A run that hits its deadline stops
 	// at the last graded fault and reports Partial results.
@@ -90,7 +87,6 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Width, "width", DefaultWidth, "word width in bits")
 	fs.IntVar(&s.Ports, "ports", DefaultPorts, "memory ports")
 	fs.IntVar(&s.Workers, "workers", DefaultWorkers, "concurrent grading workers (0 = all CPUs, 1 = serial)")
-	fs.StringVar(&s.Engine, "engine", DefaultEngine, "fault-simulation engine: auto (lane-parallel stream replay with scalar fallback) or scalar (one fault at a time)")
 	fs.StringVar(&s.Timeout, "timeout", "", "per-run deadline as a Go duration (e.g. 90s, 5m); empty = none; an expired run reports Partial results (execution policy — excluded from the workload fingerprint)")
 	fs.IntVar(&s.Retries, "retries", 0, "transient-failure retry budget for service jobs: 0 = service default, negative = never retry (execution policy — excluded from the workload fingerprint)")
 }
@@ -153,14 +149,7 @@ func (s Spec) Workload() (*Workload, error) {
 	if s.Ports == 0 {
 		s.Ports = DefaultPorts
 	}
-	if s.Engine == "" {
-		s.Engine = DefaultEngine
-	}
 	arch, err := ParseArch(s.Arch)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := ParseEngine(s.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +157,7 @@ func (s Spec) Workload() (*Workload, error) {
 		Arch: arch,
 		Opts: coverage.Options{
 			Size: s.Size, Width: s.Width, Ports: s.Ports,
-			Workers: s.Workers, Engine: engine,
+			Workers: s.Workers,
 		},
 	}
 	if err := w.Opts.Validate(); err != nil {
@@ -197,8 +186,8 @@ func (w *Workload) Names() []string {
 // exact workload: a readable architecture/geometry/algorithm summary
 // plus a checksum of the per-algorithm coverage fingerprints (which
 // fold in the universe options and each algorithm's march notation) in
-// grading order. Worker count and engine are excluded — verdicts are
-// byte-identical across both, so state persisted under one
+// grading order. The worker count is excluded — verdicts are
+// byte-identical at any count, so state persisted under one
 // configuration resumes under any other.
 func (w *Workload) Fingerprint() string {
 	names := w.Names()
@@ -339,17 +328,6 @@ func ParseArch(s string) (coverage.Architecture, error) {
 		return coverage.Hardwired, nil
 	}
 	return 0, fmt.Errorf("unknown architecture %q", s)
-}
-
-// ParseEngine maps an engine name to its coverage constant.
-func ParseEngine(s string) (coverage.Engine, error) {
-	switch s {
-	case "auto":
-		return coverage.EngineAuto, nil
-	case "scalar":
-		return coverage.EngineScalar, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
 }
 
 // Shard is one graded workload slice: shard Shard of Of, with one

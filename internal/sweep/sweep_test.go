@@ -46,7 +46,6 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 	for _, s := range []Spec{
 		{Algs: "nosuch"},
 		{Arch: "quantum"},
-		{Engine: "warp"},
 		// Geometry outside the engines' bounds (coverage.Options.Validate).
 		{Width: 65},
 		{Width: -1},
@@ -67,11 +66,10 @@ func TestFingerprintExcludesExecutionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers and engine must not move the fingerprint: state persisted
-	// under one configuration resumes under any other.
+	// Workers and execution policy must not move the fingerprint: state
+	// persisted under one configuration resumes under any other.
 	for _, s := range []Spec{
 		{Algs: "marchc", Size: 8, Workers: 7},
-		{Algs: "marchc", Size: 8, Engine: "scalar"},
 		{Algs: "marchc", Size: 8, Timeout: "90s", Retries: 3},
 	} {
 		w, err := s.Workload()
