@@ -9,7 +9,7 @@ import "fmt"
 const MaxLanes = 63
 
 // MaxPlanes bounds the plane count of NewLaneInjectedPlanes (8 planes =
-// 512 logical lanes), matching gatesim.MaxPlanes.
+// 512 logical lanes).
 const MaxPlanes = 8
 
 // BatchLimit returns the fault capacity of a memory with the given

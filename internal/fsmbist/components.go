@@ -9,7 +9,7 @@
 // consecutive SM sweeps when possible — the architecture's flexibility
 // limit (the paper rates it MEDIUM against the microcode architecture's
 // HIGH): decomposition multiplies address sweeps and therefore test
-// time, and some op sequences are not realisable at all.
+// time.
 package fsmbist
 
 import (

@@ -1,6 +1,7 @@
 package fsmbist
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/faults"
@@ -139,6 +140,63 @@ func TestGateLevelDetectsFault(t *testing.T) {
 	for i, addr := range res.MismatchAddrs {
 		if addr != want.Fails[i].Addr {
 			t.Errorf("mismatch %d at addr %d, oracle at %d", i, addr, want.Fails[i].Addr)
+		}
+	}
+}
+
+// TestGateLevelHoldingProgramsEnd runs every retention-pause algorithm
+// closed-loop at gate level, with and without a delay timer: a holding
+// program must release its hold (from the timer, or from the delay_done
+// input the harness drives high) and issue exactly its realised stream.
+func TestGateLevelHoldingProgramsEnd(t *testing.T) {
+	const addrBits = 3
+	size := 1 << addrBits
+	algs := []march.Algorithm{
+		march.MarchCPlus(), march.MarchCPlusPlus(),
+		march.MarchAPlus(), march.MarchAPlusPlus(), march.MarchG(),
+	}
+	for _, alg := range algs {
+		for _, width := range []int{1, 4} {
+			for _, timer := range []int{0, 8} {
+				t.Run(fmt.Sprintf("%s/%dx%d/timer%d", alg.Name, size, width, timer), func(t *testing.T) {
+					p, err := Compile(alg, CompileOpts{WordOriented: width > 1, Multiport: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p.Realized.Pauses() == 0 {
+						t.Fatalf("%s compiled without a pause", alg.Name)
+					}
+					hw, err := BuildHardware(p, HWConfig{
+						Slots: p.Len(), AddrBits: addrBits, Width: width, Ports: 1,
+						IncludeDatapath: true, DelayTimerBits: timer,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := march.OpStream(p.Realized, size, width)
+					budget := 20*len(want) + 500*(1+p.Realized.Pauses())
+					res, err := gatesim.RunBISTUnit(hw.Netlist, memory.NewSRAM(size, width, 1), budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Ended {
+						t.Fatalf("unit did not raise test_end in %d cycles (%d/%d ops)",
+							res.Cycles, len(res.Ops), len(want))
+					}
+					if res.Detected() {
+						t.Fatalf("comparator flagged a clean memory at %v", res.MismatchAddrs)
+					}
+					if len(res.Ops) != len(want) {
+						t.Fatalf("unit issued %d ops, want %d", len(res.Ops), len(want))
+					}
+					for i := range want {
+						got := res.Ops[i]
+						if got.Write != want[i].Write || got.Addr != want[i].Addr || got.Data != want[i].Data {
+							t.Fatalf("op %d: gate %+v, golden %+v", i, got, want[i])
+						}
+					}
+				})
+			}
 		}
 	}
 }

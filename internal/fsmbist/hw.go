@@ -112,7 +112,8 @@ type HWConfig struct {
 	Ports    int
 	// IncludeDatapath adds the shared datapath to the netlist.
 	IncludeDatapath bool
-	// DelayTimerBits adds a retention delay timer.
+	// DelayTimerBits adds a retention delay timer. With none, a program
+	// that holds releases its hold from a delay_done primary input.
 	DelayTimerBits int
 }
 
@@ -189,11 +190,16 @@ func BuildHardware(p *Program, cfg HWConfig) (*Hardware, error) {
 	dataInc, dataInv, portInc := head[2], head[3], head[4]
 	sm := []netlist.NetID{head[5], head[6], head[7]}
 
-	// Delay timer gates the hold release when configured.
+	// Delay timer gates the hold release when configured. Without one, a
+	// holding program releases its hold from a delay_done primary input
+	// (as hardbist's pause states do); a raw head-bit hold would keep the
+	// lower controller in Done forever.
 	holdCond := holdBit
 	if cfg.DelayTimerBits > 0 {
 		timer := nl.BuildCounter("delay", cfg.DelayTimerBits, nl.Const1(), netlist.Invalid, netlist.Invalid)
 		holdCond = nl.And2(holdBit, nl.Inv(timer.Terminal))
+	} else if p != nil && p.Realized.Pauses() > 0 {
+		holdCond = nl.And2(holdBit, nl.Inv(nl.AddInput("delay_done")))
 	}
 
 	// Lower controller.

@@ -10,16 +10,15 @@ import (
 
 // TestWordSimSettleZeroAlloc pins the zero-allocation steady state of
 // the word-simulator settle path on a real controller netlist: once
-// constructed, a force / evaluate / read / clear cycle — including
-// active-plane shrinking and regrowth — must not allocate. A
-// regression here shows up as allocs-per-op growth in
+// constructed, a force / evaluate / read / clear cycle must not
+// allocate. A regression here shows up as allocs-per-op growth in
 // BenchmarkLogicBISTWordParallel.
 func TestWordSimSettleZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc pins need a non-race build")
 	}
 	nl := controllerNetlists(t)[0]
-	ws, err := gatesim.NewWordPlanes(nl, 4)
+	ws, err := gatesim.NewWord(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,21 +26,14 @@ func TestWordSimSettleZeroAlloc(t *testing.T) {
 	outputs := nl.Outputs()
 	var sink uint64
 	cycle := func() {
-		ws.SetActivePlanes(4)
 		for k, id := range inputs {
 			ws.ForceLane(id, k+1, k&1 == 0)
 		}
 		ws.Eval()
 		for _, id := range outputs {
-			for p := 0; p < 4; p++ {
-				sink ^= ws.GetPlane(id, p)
-			}
+			sink ^= ws.Get(id)
 		}
 		ws.ClearForces()
-		// The dense tail path: shrink to one plane and settle again.
-		ws.SetActivePlanes(1)
-		ws.Eval()
-		sink ^= ws.Get(outputs[0])
 	}
 	cycle() // warm the forcedNets list to steady-state capacity
 

@@ -2,34 +2,23 @@ package gatesim
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
-// Lanes is the machine-word parallelism of one bit-plane of the
-// WordSimulator: one settle pass over a single plane evaluates this
-// many independent copies of the netlist. A multi-plane simulator
-// (NewWordPlanes) carries Planes()×Lanes logical lanes.
+// Lanes is the machine-word parallelism of the WordSimulator: one
+// settle pass evaluates this many independent copies of the netlist.
 const Lanes = 64
 
-// MaxPlanes bounds the plane count of NewWordPlanes: 8 planes give 512
-// logical lanes, past which the per-instance scratch stops fitting the
-// stack-friendly fixed buffers and the working set outgrows L1 anyway.
-const MaxPlanes = 8
-
 // WordSimulator is the bit-parallel counterpart of Simulator: every net
-// holds P ≥ 1 uint64 bit-planes whose bit L of plane p is the net's
-// value in logical lane p*64+L, so one settle pass evaluates up to
-// P×64 independent copies of the netlist. The intended use is
-// PPSFP-style fault simulation — lane 0 carries the good machine and
-// the remaining lanes faulty machines distinguished only by per-lane
-// forced nets — but nothing in the simulator itself assumes that
-// layout. The multi-plane inner loop amortises instruction decode,
-// force lookups and fixpoint bookkeeping over P words per gate, which
-// is where the >64-lane speedup comes from.
+// holds one uint64 whose bit L is the net's value in lane L, so one
+// settle pass evaluates 64 independent copies of the netlist. The
+// intended use is PPSFP-style fault simulation — lane 0 carries the
+// good machine and the remaining lanes faulty machines distinguished
+// only by per-lane forced nets — but nothing in the simulator itself
+// assumes that layout.
 //
 // Evaluation semantics match Simulator exactly, lane by lane: the same
 // levelised two-phase model (settle combinational logic, clock
@@ -38,70 +27,53 @@ const MaxPlanes = 8
 // scalar Simulator would.
 type WordSimulator struct {
 	nl     *netlist.Netlist
-	planes int      // P: uint64 bit-planes per net
-	active int      // planes currently settled, in [1, P]; see SetActivePlanes
-	values []uint64 // indexed by NetID*P+p; bit L = value in lane p*64+L
+	values []uint64 // indexed by NetID; bit L = value in lane L
 	order  []int    // combinational instance indices in topological order
 	cyclic []int    // combinational instances on loops, in index order
 	ffs    []int    // sequential instance indices
-	next   []uint64 // Step scratch, P words per flip-flop
+	next   []uint64 // Step scratch, one word per flip-flop
 	const1 netlist.NetID
 	cycles int
 	ctx    context.Context // optional cancellation, checked periodically
 	err    error           // sticky: ErrUnsettled or ctx.Err()
-	// Per-net-plane force masks: where forceMask has a bit set, the net
-	// is pinned to the corresponding forceVal bit during settling — the
-	// per-lane stuck-at injection mechanism. Nets with all-zero masks
-	// are unforced; forcedNets lists the nets with any non-zero plane
-	// mask so ClearForces is O(active forces).
+	// Per-net force masks: where forceMask has a bit set, the net is
+	// pinned to the corresponding forceVal bit during settling — the
+	// per-lane stuck-at injection mechanism. Nets with a zero mask are
+	// unforced; forcedNets lists the nets with a non-zero mask so
+	// ClearForces is O(active forces).
 	forceMask  []uint64
 	forceVal   []uint64
 	forcedNets []netlist.NetID
-	forcedFlag []bool // per net: any plane forced — one byte answers "is this net forced?"
 	// Metrics are bound once at construction from the registry active
 	// at that time; nil (the no-op instrument) when metrics are off.
 	// mLanes samples the forced-lane occupancy at every settle — how
-	// full the PPSFP batches keep the logical lanes.
+	// full the PPSFP batches keep the lanes.
 	mSettles   *obs.Counter
 	mGates     *obs.Counter
 	mUnsettled *obs.Counter
 	mLanes     *obs.Span
 }
 
-// NewWord levelises the netlist and returns a single-plane (64-lane)
-// word simulator in the post-reset state. It fails on structural
-// errors; combinational loops are settled by bounded relaxation exactly
-// like the scalar Simulator, with oscillation surfacing through Err as
-// ErrUnsettled.
+// NewWord levelises the netlist and returns a 64-lane word simulator in
+// the post-reset state. It fails on structural errors; combinational
+// loops are settled by bounded relaxation exactly like the scalar
+// Simulator, with oscillation surfacing through Err as ErrUnsettled.
 func NewWord(nl *netlist.Netlist) (*WordSimulator, error) {
-	return NewWordPlanes(nl, 1)
-}
-
-// NewWordPlanes is NewWord with planes uint64 bit-planes per net,
-// giving planes×64 logical lanes per settle. planes must be in
-// [1, MaxPlanes].
-func NewWordPlanes(nl *netlist.Netlist, planes int) (*WordSimulator, error) {
-	if planes < 1 || planes > MaxPlanes {
-		return nil, fmt.Errorf("gatesim: %d planes outside [1,%d]", planes, MaxPlanes)
-	}
 	order, cyclic, ffs, err := levelise(nl)
 	if err != nil {
 		return nil, err
 	}
 	reg := obs.Active()
-	n := (nl.NumNets() + 1) * planes
+	n := nl.NumNets() + 1
 	s := &WordSimulator{
 		nl:         nl,
-		planes:     planes,
-		active:     planes,
 		values:     make([]uint64, n),
 		order:      order,
 		cyclic:     cyclic,
 		ffs:        ffs,
-		next:       make([]uint64, len(ffs)*planes),
+		next:       make([]uint64, len(ffs)),
 		forceMask:  make([]uint64, n),
 		forceVal:   make([]uint64, n),
-		forcedFlag: make([]bool, nl.NumNets()+1),
 		mSettles:   reg.Counter("gatesim.word.settles"),
 		mGates:     reg.Counter("gatesim.word.gates_evaluated"),
 		mUnsettled: reg.Counter("gatesim.word.unsettled"),
@@ -117,42 +89,6 @@ func NewWordPlanes(nl *netlist.Netlist, planes int) (*WordSimulator, error) {
 	return s, nil
 }
 
-// Planes returns the number of uint64 bit-planes per net.
-func (s *WordSimulator) Planes() int { return s.planes }
-
-// ActivePlanes returns the number of planes the next settle evaluates.
-func (s *WordSimulator) ActivePlanes() int { return s.active }
-
-// SetActivePlanes bounds settling to the first n planes, so a batching
-// layer whose occupancy shrank (fault dropping) pays per-gate settle
-// cost proportional to the lanes it actually uses instead of the full
-// allocated width. Planes at index n and beyond keep stale values and
-// must not be read until re-activated. Re-activating planes warm-starts
-// them from plane 0 — every reactivated lane mirrors the settled good
-// machine, which is exactly the state a scalar fault simulation starts
-// from. n is clamped to [1, Planes()].
-func (s *WordSimulator) SetActivePlanes(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > s.planes {
-		n = s.planes
-	}
-	if n > s.active {
-		P := s.planes
-		for o := 0; o < len(s.values); o += P {
-			v := s.values[o]
-			for p := s.active; p < n; p++ {
-				s.values[o+p] = v
-			}
-		}
-	}
-	s.active = n
-}
-
-// TotalLanes returns the number of logical lanes (Planes()×64).
-func (s *WordSimulator) TotalLanes() int { return s.planes * Lanes }
-
 // Reset applies the asynchronous reset in every lane: each flip-flop
 // takes its Init value and the combinational logic settles. Primary
 // inputs keep their current values. The cycle counter restarts at zero.
@@ -163,10 +99,7 @@ func (s *WordSimulator) Reset() {
 		if insts[i].Init {
 			v = ^uint64(0)
 		}
-		o := int(insts[i].Out) * s.planes
-		for p := 0; p < s.planes; p++ {
-			s.values[o+p] = v
-		}
+		s.values[insts[i].Out] = v
 	}
 	s.err = nil
 	s.settle()
@@ -185,23 +118,15 @@ func (s *WordSimulator) Err() error { return s.err }
 
 //mbist:hotpath
 func (s *WordSimulator) settle() {
-	P := s.planes
-	A := s.active
 	if s.const1 != netlist.Invalid {
-		o := int(s.const1) * P
-		for p := 0; p < A; p++ {
-			s.values[o+p] = ^uint64(0)
-		}
+		s.values[s.const1] = ^uint64(0)
 	}
 	for _, id := range s.forcedNets {
-		o := int(id) * P
-		for p := 0; p < A; p++ {
-			m := s.forceMask[o+p]
-			s.values[o+p] = s.values[o+p]&^m | s.forceVal[o+p]&m
-		}
+		m := s.forceMask[id]
+		s.values[id] = s.values[id]&^m | s.forceVal[id]&m
 	}
 	passes := 1
-	if s.settlePass() && len(s.cyclic) > 0 {
+	if s.settlePass1() && len(s.cyclic) > 0 {
 		// Values on loops moved: relax to a fixpoint under the watchdog.
 		budget := settleBudget(len(s.cyclic))
 		for changed := true; changed; passes++ {
@@ -210,32 +135,19 @@ func (s *WordSimulator) settle() {
 				s.mUnsettled.Add(1)
 				break
 			}
-			changed = s.settlePass()
+			changed = s.settlePass1()
 		}
 	}
 	s.mSettles.Add(1)
-	s.mGates.Add(int64(passes * (len(s.order) + len(s.cyclic)) * A))
+	s.mGates.Add(int64(passes * (len(s.order) + len(s.cyclic))))
 	if s.mLanes != nil { // skip the popcount walk when metrics are off
 		s.mLanes.Observe(int64(s.ForcedLanes()))
 	}
 }
 
-//mbist:hotpath
-func (s *WordSimulator) settlePass() bool {
-	if s.planes == 1 {
-		return s.settlePass1()
-	}
-	if s.planes == 4 && s.active == 4 {
-		return s.settlePass4()
-	}
-	return s.settlePassN()
-}
-
-// settlePass1 evaluates every combinational instance once on the
-// single-plane layout — topological order first, loop members last —
-// and reports whether any loop member's output word changed (the
-// fixpoint test). It is kept separate from settlePassN so the 64-lane
-// path pays no per-plane loop overhead.
+// settlePass1 evaluates every combinational instance once in all 64
+// lanes — topological order first, loop members last — and reports
+// whether any loop member's output word changed (the fixpoint test).
 //
 //mbist:hotpath
 func (s *WordSimulator) settlePass1() bool {
@@ -285,205 +197,26 @@ func (s *WordSimulator) settlePass1() bool {
 	return changed
 }
 
-// settlePassN is settlePass1 generalised to P planes: each instance is
-// decoded once and its operation applied to the active plane words, so
-// the per-gate overhead (dispatch, force lookup, change tracking) is
-// amortised across up to P×64 lanes while shrunken batches only pay
-// for the planes they occupy.
-//
-//mbist:hotpath
-func (s *WordSimulator) settlePassN() bool {
-	P := s.planes
-	A := s.active
-	insts := s.nl.Instances()
-	vals := s.values
-	var nv [MaxPlanes]uint64
-	eval := func(i int) bool { //mbist:exempt hotpathalloc non-escaping closure, stack-allocated; pinned at 0 allocs/op by the gatesim alloc tests
-		inst := &insts[i]
-		a := int(inst.In[0]) * P
-		switch inst.Kind {
-		case netlist.CellInv:
-			for p := 0; p < A; p++ {
-				nv[p] = ^vals[a+p]
-			}
-		case netlist.CellBuf:
-			for p := 0; p < A; p++ {
-				nv[p] = vals[a+p]
-			}
-		case netlist.CellNand2:
-			b := int(inst.In[1]) * P
-			for p := 0; p < A; p++ {
-				nv[p] = ^(vals[a+p] & vals[b+p])
-			}
-		case netlist.CellNor2:
-			b := int(inst.In[1]) * P
-			for p := 0; p < A; p++ {
-				nv[p] = ^(vals[a+p] | vals[b+p])
-			}
-		case netlist.CellAnd2:
-			b := int(inst.In[1]) * P
-			for p := 0; p < A; p++ {
-				nv[p] = vals[a+p] & vals[b+p]
-			}
-		case netlist.CellOr2:
-			b := int(inst.In[1]) * P
-			for p := 0; p < A; p++ {
-				nv[p] = vals[a+p] | vals[b+p]
-			}
-		case netlist.CellXor2:
-			b := int(inst.In[1]) * P
-			for p := 0; p < A; p++ {
-				nv[p] = vals[a+p] ^ vals[b+p]
-			}
-		case netlist.CellXnor2:
-			b := int(inst.In[1]) * P
-			for p := 0; p < A; p++ {
-				nv[p] = ^(vals[a+p] ^ vals[b+p])
-			}
-		case netlist.CellMux2:
-			b := int(inst.In[1]) * P
-			c := int(inst.In[2]) * P
-			for p := 0; p < A; p++ {
-				sel := vals[a+p]
-				nv[p] = sel&vals[c+p] | ^sel&vals[b+p]
-			}
-		default:
-			panic("gatesim: word eval on sequential cell " + inst.Kind.String())
-		}
-		o := int(inst.Out) * P
-		changed := false
-		for p := 0; p < A; p++ {
-			v := nv[p]
-			if m := s.forceMask[o+p]; m != 0 {
-				v = v&^m | s.forceVal[o+p]&m
-			}
-			if vals[o+p] != v {
-				vals[o+p] = v
-				changed = true
-			}
-		}
-		return changed
-	}
-	for _, i := range s.order {
-		eval(i)
-	}
-	changed := false
-	for _, i := range s.cyclic {
-		if eval(i) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// settlePass4 is the fully unrolled 4-plane kernel (the default
-// multi-plane width at full occupancy): each instance is decoded once
-// for four 64-lane words held in registers, with the force blend gated
-// on a one-byte per-net flag instead of four mask loads. This is where
-// the >64-lane engine earns its speedup — per plane word it is cheaper
-// than the single-plane pass because dispatch, bounds checks and change
-// tracking are amortised 4×.
-//
-//mbist:hotpath
-func (s *WordSimulator) settlePass4() bool {
-	insts := s.nl.Instances()
-	vals := s.values
-	eval := func(i int) bool { //mbist:exempt hotpathalloc non-escaping closure, stack-allocated; pinned at 0 allocs/op by the gatesim alloc tests
-		inst := &insts[i]
-		a := int(inst.In[0]) * 4
-		ax := (*[4]uint64)(vals[a : a+4])
-		var n0, n1, n2, n3 uint64
-		switch inst.Kind {
-		case netlist.CellInv:
-			n0, n1, n2, n3 = ^ax[0], ^ax[1], ^ax[2], ^ax[3]
-		case netlist.CellBuf:
-			n0, n1, n2, n3 = ax[0], ax[1], ax[2], ax[3]
-		case netlist.CellNand2:
-			b := int(inst.In[1]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			n0, n1, n2, n3 = ^(ax[0] & bx[0]), ^(ax[1] & bx[1]), ^(ax[2] & bx[2]), ^(ax[3] & bx[3])
-		case netlist.CellNor2:
-			b := int(inst.In[1]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			n0, n1, n2, n3 = ^(ax[0] | bx[0]), ^(ax[1] | bx[1]), ^(ax[2] | bx[2]), ^(ax[3] | bx[3])
-		case netlist.CellAnd2:
-			b := int(inst.In[1]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			n0, n1, n2, n3 = ax[0]&bx[0], ax[1]&bx[1], ax[2]&bx[2], ax[3]&bx[3]
-		case netlist.CellOr2:
-			b := int(inst.In[1]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			n0, n1, n2, n3 = ax[0]|bx[0], ax[1]|bx[1], ax[2]|bx[2], ax[3]|bx[3]
-		case netlist.CellXor2:
-			b := int(inst.In[1]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			n0, n1, n2, n3 = ax[0]^bx[0], ax[1]^bx[1], ax[2]^bx[2], ax[3]^bx[3]
-		case netlist.CellXnor2:
-			b := int(inst.In[1]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			n0, n1, n2, n3 = ^(ax[0] ^ bx[0]), ^(ax[1] ^ bx[1]), ^(ax[2] ^ bx[2]), ^(ax[3] ^ bx[3])
-		case netlist.CellMux2:
-			b := int(inst.In[1]) * 4
-			c := int(inst.In[2]) * 4
-			bx := (*[4]uint64)(vals[b : b+4])
-			cx := (*[4]uint64)(vals[c : c+4])
-			n0 = ax[0]&cx[0] | ^ax[0]&bx[0]
-			n1 = ax[1]&cx[1] | ^ax[1]&bx[1]
-			n2 = ax[2]&cx[2] | ^ax[2]&bx[2]
-			n3 = ax[3]&cx[3] | ^ax[3]&bx[3]
-		default:
-			panic("gatesim: word eval on sequential cell " + inst.Kind.String())
-		}
-		o := int(inst.Out) * 4
-		if s.forcedFlag[inst.Out] {
-			fm := (*[4]uint64)(s.forceMask[o : o+4])
-			fv := (*[4]uint64)(s.forceVal[o : o+4])
-			n0 = n0&^fm[0] | fv[0]&fm[0]
-			n1 = n1&^fm[1] | fv[1]&fm[1]
-			n2 = n2&^fm[2] | fv[2]&fm[2]
-			n3 = n3&^fm[3] | fv[3]&fm[3]
-		}
-		ox := (*[4]uint64)(vals[o : o+4])
-		changed := ox[0] != n0 || ox[1] != n1 || ox[2] != n2 || ox[3] != n3
-		ox[0], ox[1], ox[2], ox[3] = n0, n1, n2, n3
-		return changed
-	}
-	for _, i := range s.order {
-		eval(i)
-	}
-	changed := false
-	for _, i := range s.cyclic {
-		if eval(i) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// ForceLane pins a net to a value in one logical lane during settling
+// ForceLane pins a net to a value in one lane during settling
 // regardless of its driver — per-lane stuck-at fault injection. Forcing
 // also applies to primary inputs and flip-flop outputs. Lane 0 is
 // conventionally kept unforced as the good machine, but the simulator
 // does not enforce that.
 func (s *WordSimulator) ForceLane(id netlist.NetID, lane int, v bool) {
-	if lane < 0 || lane >= s.TotalLanes() {
+	if lane < 0 || lane >= Lanes {
 		panic("gatesim: force lane out of range")
 	}
-	P := s.planes
-	o := int(id) * P
-	if !s.forcedFlag[id] {
-		s.forcedFlag[id] = true
+	if s.forceMask[id] == 0 {
 		s.forcedNets = append(s.forcedNets, id)
 	}
-	idx := o + lane>>6
-	bit := uint64(1) << uint(lane&63)
-	s.forceMask[idx] |= bit
+	bit := uint64(1) << uint(lane)
+	s.forceMask[id] |= bit
 	if v {
-		s.forceVal[idx] |= bit
+		s.forceVal[id] |= bit
 	} else {
-		s.forceVal[idx] &^= bit
+		s.forceVal[id] &^= bit
 	}
-	s.values[idx] = s.values[idx]&^bit | s.forceVal[idx]&bit
+	s.values[id] = s.values[id]&^bit | s.forceVal[id]&bit
 }
 
 // Unforce releases every forced lane of a net. Like the scalar
@@ -491,15 +224,10 @@ func (s *WordSimulator) ForceLane(id netlist.NetID, lane int, v bool) {
 // driven nets recover on the next settle, while primary inputs and
 // flip-flop outputs keep the forced bits until re-Set.
 func (s *WordSimulator) Unforce(id netlist.NetID) {
-	o := int(id) * s.planes
-	for p := 0; p < s.planes; p++ {
-		s.forceMask[o+p] = 0
-		s.forceVal[o+p] = 0
-	}
-	if !s.forcedFlag[id] {
+	if s.forceMask[id] == 0 {
 		return
 	}
-	s.forcedFlag[id] = false
+	s.forceMask[id], s.forceVal[id] = 0, 0
 	for i, fid := range s.forcedNets {
 		if fid == id {
 			s.forcedNets = append(s.forcedNets[:i], s.forcedNets[i+1:]...)
@@ -510,80 +238,47 @@ func (s *WordSimulator) Unforce(id netlist.NetID) {
 
 // ClearForces releases every forced net in O(active forces).
 func (s *WordSimulator) ClearForces() {
-	P := s.planes
 	for _, id := range s.forcedNets {
-		o := int(id) * P
-		for p := 0; p < P; p++ {
-			s.forceMask[o+p] = 0
-			s.forceVal[o+p] = 0
-		}
-		s.forcedFlag[id] = false
+		s.forceMask[id], s.forceVal[id] = 0, 0
 	}
 	s.forcedNets = s.forcedNets[:0]
 }
 
-// ForcedLanes returns the number of distinct logical lanes with at
-// least one active force — a sanity probe for batching layers.
+// ForcedLanes returns the number of distinct lanes with at least one
+// active force — a sanity probe for batching layers.
 func (s *WordSimulator) ForcedLanes() int {
-	P := s.planes
-	n := 0
-	for p := 0; p < P; p++ {
-		var m uint64
-		for _, id := range s.forcedNets {
-			m |= s.forceMask[int(id)*P+p]
-		}
-		n += bits.OnesCount64(m)
+	var m uint64
+	for _, id := range s.forcedNets {
+		m |= s.forceMask[id]
 	}
-	return n
+	return bits.OnesCount64(m)
 }
 
-// Set drives a primary input net to the same value in every lane of
-// every plane.
+// Set drives a primary input net to the same value in every lane.
 func (s *WordSimulator) Set(id netlist.NetID, v bool) {
 	var w uint64
 	if v {
 		w = ^uint64(0)
 	}
-	o := int(id) * s.planes
-	for p := 0; p < s.planes; p++ {
-		s.values[o+p] = w
-	}
+	s.values[id] = w
 }
 
-// SetWord drives plane 0 of a primary input net with an arbitrary
-// per-lane word (the planes beyond the first are untouched; see
-// SetWordPlane).
-func (s *WordSimulator) SetWord(id netlist.NetID, w uint64) {
-	s.values[int(id)*s.planes] = w
-}
+// SetWord drives a primary input net with an arbitrary per-lane word.
+func (s *WordSimulator) SetWord(id netlist.NetID, w uint64) { s.values[id] = w }
 
-// SetWordPlane drives one plane of a primary input net with an
-// arbitrary per-lane word.
-func (s *WordSimulator) SetWordPlane(id netlist.NetID, plane int, w uint64) {
-	s.values[int(id)*s.planes+plane] = w
-}
+// Get returns the settled word of a net (lanes 0..63).
+func (s *WordSimulator) Get(id netlist.NetID) uint64 { return s.values[id] }
 
-// Get returns the settled plane-0 word of a net (lanes 0..63).
-func (s *WordSimulator) Get(id netlist.NetID) uint64 {
-	return s.values[int(id)*s.planes]
-}
-
-// GetPlane returns the settled word of one plane of a net (logical
-// lanes plane*64..plane*64+63).
-func (s *WordSimulator) GetPlane(id netlist.NetID, plane int) uint64 {
-	return s.values[int(id)*s.planes+plane]
-}
-
-// GetLane returns the settled value of a net in one logical lane.
+// GetLane returns the settled value of a net in one lane.
 func (s *WordSimulator) GetLane(id netlist.NetID, lane int) bool {
-	return s.values[int(id)*s.planes+lane>>6]>>uint(lane&63)&1 == 1
+	return s.values[id]>>uint(lane)&1 == 1
 }
 
 // Eval settles combinational logic in every lane without clocking.
 func (s *WordSimulator) Eval() { s.settle() }
 
 // Step advances one clock cycle in every lane: settle, capture every
-// flip-flop's D words, update Qs, settle again. Once Err is non-nil —
+// flip-flop's D word, update Qs, settle again. Once Err is non-nil —
 // oscillation watchdog or cancelled context — Step is a no-op.
 func (s *WordSimulator) Step() {
 	if s.err != nil {
@@ -596,15 +291,12 @@ func (s *WordSimulator) Step() {
 		}
 	}
 	s.settle()
-	P := s.planes
 	insts := s.nl.Instances()
 	for k, i := range s.ffs {
-		d := int(insts[i].In[0]) * P
-		copy(s.next[k*P:(k+1)*P], s.values[d:d+P])
+		s.next[k] = s.values[insts[i].In[0]]
 	}
 	for k, i := range s.ffs {
-		q := int(insts[i].Out) * P
-		copy(s.values[q:q+P], s.next[k*P:(k+1)*P])
+		s.values[insts[i].Out] = s.next[k]
 	}
 	s.settle()
 	s.cycles++

@@ -16,6 +16,7 @@ import (
 	"repro/internal/march"
 	"repro/internal/microbist"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // controllerNetlists synthesises the two programmable BIST controllers
@@ -247,5 +248,41 @@ func TestWordSimLaneIndependence(t *testing.T) {
 	}
 	if s := fmt.Sprint(ws.Cycles()); s != "0" {
 		t.Errorf("Eval advanced the cycle counter: %s", s)
+	}
+}
+
+// TestLevelizationCacheHits pins the cross-simulator levelization
+// cache: repeated construction over one netlist levelises once and
+// counts a cache hit for every later build.
+func TestLevelizationCacheHits(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+
+	nl := netlist.New("levcache")
+	a := nl.AddInput("a")
+	b := nl.AddInput("b")
+	nl.AddOutput("f", nl.And2(a, b))
+
+	hits := func() int64 {
+		for _, m := range reg.Snapshot() {
+			if m.Name == "gatesim.levelization_cache_hits" {
+				return m.Value
+			}
+		}
+		return 0
+	}
+
+	if _, err := gatesim.New(nl); err != nil { // first build levelises
+		t.Fatal(err)
+	}
+	base := hits()
+	if _, err := gatesim.NewWord(nl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gatesim.New(nl); err != nil {
+		t.Fatal(err)
+	}
+	if got := hits() - base; got != 2 {
+		t.Errorf("levelization cache hits after 2 rebuilds = %d, want 2", got)
 	}
 }

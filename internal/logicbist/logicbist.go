@@ -13,9 +13,16 @@
 // inputs (pseudo-outputs). Faults are single stuck-at-0/1 on every
 // driven net.
 //
+// The model treats every flip-flop as full scan, whatever its cell:
+// a scan-only storage cell (CellSODFF) is graded exactly like a
+// full-scan register. Full-scan and scan-only microcode controllers
+// therefore enumerate the same faults and reach the same coverage, and
+// the model cannot yet price the paper's scan-only storage (its
+// observation O1) in testability.
+//
 // Two fault-simulation engines grade the same model: the bit-parallel
 // default packs the good machine and up to 63 faulty machines into the
-// lanes of a gatesim.WordSimulator (PPSFP), while the serial engine
+// 64 lanes of a gatesim.WordSimulator (PPSFP), while the serial engine
 // re-settles the netlist once per fault per pattern. Both produce
 // identical Results for the same seed; the serial engine remains as the
 // cross-check oracle and benchmark baseline.
@@ -29,14 +36,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
-
-// wordPlanes is the bit-plane count of the parallel engine's simulator:
-// 4 planes carry 256 logical lanes (one good machine + 255 fault
-// machines) per settle. Chosen by benchmark — wider batches amortize
-// the per-batch force/diff/restore overhead, while the per-gate settle
-// cost stays proportional to live faults because detected faults drop
-// out of the pending set.
-const wordPlanes = 4
 
 // Fault is a single stuck-at fault on a net.
 type Fault struct {
@@ -107,25 +106,15 @@ func scanAccess(nl *netlist.Netlist) (controls, observes []netlist.NetID, err er
 // to primary inputs and flip-flop outputs, and fault effects are
 // observed at primary outputs and flip-flop D inputs.
 //
-// Faults are simulated wordPlanes×64−1 at a time on a multi-plane
-// bit-parallel WordSimulator: logical lane 0 carries the good machine
-// and each remaining lane a faulty machine with its fault net
-// force-masked to the stuck value. One settle pass therefore replaces
-// up to 255 serial re-settles, and detected faults drop out of the
-// pending set after every pattern so later batches stay densely packed.
-// The result is bit-identical to RandomPatternCoverageSerial for the
-// same seed.
+// Faults are simulated 63 at a time on a 64-lane bit-parallel
+// WordSimulator: lane 0 carries the good machine and each remaining
+// lane a faulty machine with its fault net force-masked to the stuck
+// value. One settle pass therefore replaces up to 63 serial re-settles,
+// and detected faults drop out of the pending set after every pattern
+// so later batches stay densely packed. The result is bit-identical to
+// RandomPatternCoverageSerial for the same seed.
 func RandomPatternCoverage(nl *netlist.Netlist, patterns int, seed int64) (*Result, error) {
-	sim, err := gatesim.NewWordPlanes(nl, wordPlanes)
-	if err != nil {
-		return nil, err
-	}
-	// Dense single-plane engine for the dropped-down tail: once the live
-	// set fits 63 fault lanes the narrow layout wins on cache density
-	// (and the multi-plane engine is never needed again, because the
-	// pending set only shrinks). Levelisation is shared via the cache,
-	// so the second simulator costs two value arrays.
-	sim1, err := gatesim.NewWord(nl)
+	sim, err := gatesim.NewWord(nl)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +146,7 @@ func RandomPatternCoverage(nl *netlist.Netlist, patterns int, seed int64) (*Resu
 		pending[i] = i
 	}
 
-	const faultLanes = wordPlanes*gatesim.Lanes - 1 // lane 0 is the good machine
+	const faultLanes = gatesim.Lanes - 1 // lane 0 is the good machine
 
 	// Metrics: pattern and batch counts plus the faults-per-batch
 	// distribution, which shows how well detection drop-out keeps the
@@ -170,77 +159,44 @@ func RandomPatternCoverage(nl *netlist.Netlist, patterns int, seed int64) (*Resu
 	mDetected := reg.Counter("logicbist.detected")
 	mDropped := reg.Counter("logicbist.faults_dropped")
 
-	// A batch this large needs every plane of the wide engine anyway, so
-	// its unrolled full-width kernel applies; smaller remainders go to
-	// the dense single-plane engine instead of a partially occupied wide
-	// settle, whose strided layout wastes cache bandwidth.
-	const wideThreshold = (wordPlanes - 1) * gatesim.Lanes
-
 	rng := rand.New(rand.NewSource(seed))
 	vals := make([]bool, len(controls))
 	for p := 0; p < patterns; p++ {
-		// Apply one random pattern, broadcast across all lanes of both
-		// engines (full scan re-drives every control each pattern, so
-		// the engines stay interchangeable chunk to chunk). The RNG draw
-		// order matches the serial engine exactly.
-		wide := len(pending) >= wideThreshold
+		// Apply one random pattern, broadcast across all lanes. The RNG
+		// draw order matches the serial engine exactly.
 		for i, id := range controls {
 			vals[i] = rng.Intn(2) == 1
-			sim1.Set(id, vals[i])
-			if wide {
-				sim.Set(id, vals[i])
-			}
+			sim.Set(id, vals[i])
 		}
 		mPatterns.Add(1)
 
-		for start := 0; start < len(pending); {
-			// Full-width chunks ride the wide engine's unrolled kernel;
-			// the dropped-down tail rides the dense single-plane layout.
-			eng, lanesCap := sim1, gatesim.Lanes-1
-			if len(pending)-start >= wideThreshold {
-				eng, lanesCap = sim, faultLanes
-			}
-			end := start + lanesCap
-			if end > len(pending) {
-				end = len(pending)
-			}
-			batch := pending[start:end]
-			start = end
+		for start := 0; start < len(pending); start += faultLanes {
+			batch := pending[start:min(start+faultLanes, len(pending))]
 			mBatches.Add(1)
 			mBatchFaults.Observe(int64(len(batch)))
-			// Settle only the planes this batch occupies: once dropping
-			// has thinned the pending set, the per-gate cost shrinks with
-			// it instead of paying for the full allocated lane width.
-			np := len(batch)>>6 + 1 // ceil((len(batch)+1)/64)
-			eng.SetActivePlanes(np)
 			for k, fi := range batch {
-				eng.ForceLane(faults[fi].Net, k+1, faults[fi].StuckAt)
+				sim.ForceLane(faults[fi].Net, k+1, faults[fi].StuckAt)
 			}
-			eng.Eval()
+			sim.Eval()
 			// A lane detects its fault when any observable differs from
-			// the good machine in logical lane 0 (plane 0, bit 0).
-			var diff [wordPlanes]uint64
+			// the good machine in lane 0.
+			var diff uint64
 			for _, id := range observes {
-				w0 := eng.GetPlane(id, 0)
-				g := -(w0 & 1) // replicates lane 0 into all lanes
-				diff[0] |= w0 ^ g
-				for p := 1; p < np; p++ {
-					diff[p] |= eng.GetPlane(id, p) ^ g
-				}
+				w := sim.Get(id)
+				diff |= w ^ -(w & 1) // -(w&1) replicates lane 0 into all lanes
 			}
 			for k, fi := range batch {
-				l := k + 1
-				if diff[l>>6]>>uint(l&63)&1 == 1 {
+				if diff>>uint(k+1)&1 == 1 {
 					detected[fi] = true
 					res.Detected++
 				}
 			}
-			eng.ClearForces()
+			sim.ClearForces()
 			// Restore controllable words corrupted by forcing; driven
 			// nets recover on the next settle by themselves.
 			for _, fi := range batch {
 				if ci := ctrlIdx[faults[fi].Net]; ci >= 0 {
-					eng.Set(faults[fi].Net, vals[ci])
+					sim.Set(faults[fi].Net, vals[ci])
 				}
 			}
 		}
